@@ -23,7 +23,7 @@ from .errors import (BadCharacteristicError, BudgetExceededError,
                      LaurentViolationError, MutationAtFrozenError,
                      NoMutableVertexError, NotAcyclicError,
                      NotDivisibleError, NotLaurentError, QuiverFormatError,
-                     SizeLimitError, VerificationFailedError)
+                     VerificationFailedError)
 from .fields import GF, QQ, PrimeField, RationalField, is_prime
 from .frobenius import (InvarianceReport, SinkWitness, SplittingMap,
                         freg_witness_sink, hom_generator, iterate_split,
@@ -56,8 +56,8 @@ __all__ = [
     "MutationAtFrozenError", "NoMutableVertexError", "NotAcyclicError",
     "NotDivisibleError", "NotLaurentError", "ObstructionReport",
     "PrimeField", "QQ", "Quiver", "QuiverFormatError", "RationalExpr",
-    "RationalField", "Seed", "SinkWitness", "SizeLimitError",
-    "SplittingMap", "VerificationFailedError", "budgets",
+    "RationalField", "Seed", "SinkWitness", "SplittingMap",
+    "VerificationFailedError", "budgets",
     "cluster_substitution", "compat_check", "corpus",
     "degree_bounded_monomials", "explore", "express_in_cluster",
     "express_rational", "freg_witness_sink", "graded_obstruction_check",

@@ -18,7 +18,6 @@ class Budgets:
     max_seeds: int = 10**5          # distinct seeds per exploration
     max_division_steps: int = 10**6  # quotient terms per exact division
     max_raw_products: int = 10**7   # raw term-products per metered region
-    canonical_max_vertices: int = 8  # brute-force relabeling bound
 
 
 _current = Budgets()

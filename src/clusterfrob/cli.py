@@ -24,7 +24,7 @@ from .errors import (BadCharacteristicError, BudgetExceededError,
                      ClusterFrobError, LaurentViolationError,
                      MutationAtFrozenError, NoMutableVertexError,
                      NotAcyclicError, NotDivisibleError, NotLaurentError,
-                     QuiverFormatError, SizeLimitError)
+                     QuiverFormatError)
 from .fields import GF, QQ, is_prime
 from .frobenius import (SplittingMap, freg_witness_sink, split_apply)
 from .laurent import LaurentPoly, RationalExpr, parse_laurent
@@ -475,9 +475,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _stderr_time(started)
         return MATH_EXIT
-    except (QuiverFormatError, SizeLimitError, BudgetExceededError,
-            MutationAtFrozenError, argparse.ArgumentTypeError,
-            ValueError) as exc:
+    except (QuiverFormatError, BudgetExceededError, MutationAtFrozenError,
+            argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _stderr_time(started)
         return USAGE_EXIT

@@ -28,10 +28,6 @@ class MutationAtFrozenError(ClusterFrobError):
     """Mutation was requested at a frozen vertex."""
 
 
-class SizeLimitError(ClusterFrobError):
-    """A brute-force routine refused an input above its size bound."""
-
-
 class BudgetExceededError(ClusterFrobError):
     """A configured budget ran out.  `budget` names which one."""
 

@@ -61,12 +61,12 @@ class RationalField:
     def invert(self, c: Fraction) -> Fraction:
         if not c:
             raise ZeroDivisionError("inverse of 0 in QQ")
-        return 1 / c
+        return 1 / Fraction(c)
 
     def divide(self, a: Fraction, b: Fraction) -> Fraction:
         if not b:
             raise ZeroDivisionError("division by 0 in QQ")
-        return a / b
+        return Fraction(a) / b
 
     def render(self, c: Fraction) -> str:
         return str(c)

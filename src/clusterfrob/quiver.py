@@ -12,13 +12,11 @@ set really is unchanged under mutate).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
-from . import budgets
 from .errors import (MutationAtFrozenError, NoMutableVertexError,
-                     QuiverFormatError, SizeLimitError)
+                     QuiverFormatError)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -130,32 +128,6 @@ class Quiver:
         if bad:
             raise ValueError(f"cannot freeze out-of-range vertices {bad}")
         return Quiver(self.n, self.b, self.frozen | extra)
-
-    # -- canonical form ------------------------------------------------------------
-
-    def canonical_form(self) -> tuple:
-        """Canonical key invariant under relabelings preserving the frozen
-        set, by brute force over all such permutations.  Refuses n > the
-        configured bound (default 8)."""
-        bound = budgets.current().canonical_max_vertices
-        if self.n > bound:
-            raise SizeLimitError(
-                f"canonical_form is brute force; n={self.n} exceeds {bound}")
-        mut = self.mutable
-        fro = tuple(sorted(self.frozen))
-        best = None
-        rng = range(self.n)
-        # Relabel so mutable vertices come first, frozen last, minimizing
-        # over the orderings within each block; the winning flat matrix
-        # plus the block sizes pin the quiver up to frozen-respecting
-        # relabeling, wherever the frozen vertices originally sat.
-        for pm in itertools.permutations(mut):
-            for pf in itertools.permutations(fro):
-                old = pm + pf  # old[new label] = original vertex
-                flat = tuple(self.b[old[a]][old[c]] for a in rng for c in rng)
-                if best is None or flat < best:
-                    best = flat
-        return (self.n, len(mut), best)
 
     # -- serialization ----------------------------------------------------------------
 

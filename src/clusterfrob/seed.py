@@ -96,9 +96,19 @@ class Seed:
         return s
 
     def key(self):
-        """Dedup key: canonical quiver form plus the unordered cluster."""
-        vars_key = tuple(sorted(v.sort_key() for v in self.vars))
-        return (self.quiver.canonical_form(), vars_key)
+        """Dedup key: the cluster in sorted order, with the exchange matrix
+        (flattened) and the frozen mask read in that vertex order.
+
+        The cluster fixes which variable sits on which vertex, so reading
+        the quiver in the cluster's own order makes relabeled copies of a
+        seed agree without searching over relabelings.  Distinct vertices
+        of a seed never carry the same variable, so the order is total."""
+        sort_keys = [v.sort_key() for v in self.vars]
+        order = sorted(range(self.n), key=sort_keys.__getitem__)
+        b, frozen = self.quiver.b, self.quiver.frozen
+        return (tuple(sort_keys[i] for i in order),
+                tuple(b[i][j] for i in order for j in order),
+                tuple(i in frozen for i in order))
 
 
 def initial_seed(quiver: Quiver, coefficient_field) -> Seed:
@@ -128,9 +138,10 @@ class ExploreResult:
 
 def explore(seed: Seed, depth: int) -> ExploreResult:
     """Breadth-first closure of mutations at all mutable vertices, up to
-    `depth` steps, deduplicating seeds by (canonical quiver form, unordered
-    cluster).  `closed` reports whether the frontier emptied within the
-    bound, i.e. the whole exchange graph was seen."""
+    `depth` steps, deduplicating seeds by `Seed.key` (the cluster, with
+    the quiver read in the cluster's order).  `closed` reports whether the
+    frontier emptied within the bound, i.e. the whole exchange graph was
+    seen."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     max_seeds = budgets.current().max_seeds

@@ -34,6 +34,8 @@ def test_qq_coercion():
 
 def test_qq_invert():
     assert QQ.invert(Fraction(2, 3)) == Fraction(3, 2)
+    assert type(QQ.invert(2)) is Fraction
+    assert type(QQ.divide(1, 2)) is Fraction
     with pytest.raises(ZeroDivisionError):
         QQ.invert(Fraction(0))
 

@@ -142,6 +142,15 @@ def test_divide_difference_of_squares():
     assert q.terms == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
 
 
+def test_divide_by_raw_int_coefficients_stays_exact():
+    # the raw constructor does not coerce, so the divisor's leading
+    # coefficient is the int 1; its inverse must still be a Fraction
+    num = LaurentPoly.from_terms(QQ, 2, {(2, 0): 1, (0, 2): -1})
+    q = num.exact_divide(LaurentPoly(QQ, 2, {(1, 0): 1, (0, 1): 1}))
+    assert q.terms == {(1, 0): 1, (0, 1): -1}
+    assert all(type(c) is Fraction for c in q.terms.values())
+
+
 def test_divide_disjoint_variables_fails_fast():
     # Support boxes: any quotient exponent in x2 would have to be both
     # >= 0 - 0 and <= 0 - 1, an empty range, so no search happens.

@@ -7,14 +7,17 @@ follow from the classical formulas C_{n+2} seeds and n(n+3)/2 variables
 and double as an independent check on the walker.
 """
 
+import itertools
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, QQ, LaurentPoly, NotLaurentError, Seed, budgets,
-                         cluster_substitution, corpus, explore,
+from clusterfrob import (GF, QQ, LaurentPoly, NotLaurentError, Quiver, Seed,
+                         budgets, cluster_substitution, corpus, explore,
                          express_in_cluster, express_rational, initial_seed,
                          upper_membership_sample)
 
@@ -25,6 +28,54 @@ def lp(field, n, terms):
 
 def seed_for(name, field=QQ):
     return initial_seed(corpus.load(name), field)
+
+
+def quiver_from_edges(n, edges, frozen=()):
+    """Quiver with one arrow i -> j for each (i, j) in `edges`."""
+    b = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        b[i][j] += 1
+        b[j][i] -= 1
+    return Quiver(n, tuple(tuple(r) for r in b), frozenset(frozen))
+
+
+def dynkin(kind, n):
+    """A_n (a path) or D_n (a path with a fork at one end), each edge
+    oriented from the smaller vertex; every orientation of a tree gives
+    the same exchange graph."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if kind == "D":
+        edges[-1] = (n - 3, n - 1)
+    return quiver_from_edges(n, edges)
+
+
+def relabel(seed, pi):
+    """The same seed with vertex i renamed pi[i], its variable moving
+    along with it."""
+    n = seed.n
+    b = [[0] * n for _ in range(n)]
+    vars_ = [None] * n
+    for i in range(n):
+        vars_[pi[i]] = seed.vars[i]
+        for j in range(n):
+            b[pi[i]][pi[j]] = seed.quiver.b[i][j]
+    frozen = frozenset(pi[i] for i in seed.quiver.frozen)
+    return Seed(Quiver(n, tuple(tuple(r) for r in b), frozen), tuple(vars_))
+
+
+def perm_equivalent(b1, b2, frozen1, frozen2):
+    """Brute-force oracle: is there a frozen-respecting relabeling taking
+    b1 to b2?  Independent of Seed.key."""
+    n = len(b1)
+    if {len(frozen1), len(frozen2)} != {len(frozen1)}:
+        return False
+    for pi in itertools.permutations(range(n)):
+        if any((i in frozen1) != (pi[i] in frozen2) for i in range(n)):
+            continue
+        if all(b2[pi[i]][pi[j]] == b1[i][j]
+               for i in range(n) for j in range(n)):
+            return True
+    return False
 
 
 # -- construction ------------------------------------------------------------
@@ -156,6 +207,39 @@ def test_explore_seed_budget():
             explore(seed_for("a3"), 9)
 
 
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+FINITE_TYPE_COUNTS = {
+    # (clusters, cluster variables), Fomin-Zelevinsky, "Cluster algebras II".
+    # A_1 is left out: its single vertex is isolated, and Quiver freezes
+    # every isolated vertex.
+    **{("A", n): (catalan(n + 1), n * (n + 3) // 2) for n in range(2, 7)},
+    **{("D", n): ((3 * n - 2) * comb(2 * n - 2, n - 1) // n, n * n)
+       for n in (4, 5)},
+}
+
+
+def test_finite_type_exchange_graphs_close_with_exact_counts():
+    started = time.perf_counter()
+    for (kind, n), (clusters, variables) in FINITE_TYPE_COUNTS.items():
+        result = explore(initial_seed(dynkin(kind, n), QQ), 100)
+        assert result.closed, (kind, n)
+        assert (result.seed_count, result.variable_count) == \
+            (clusters, variables), (kind, n)
+    assert time.perf_counter() - started < 8.0
+
+
+def test_explore_nine_vertex_path():
+    # nine vertices: past the old eight-vertex cap of the brute-force key
+    result = explore(initial_seed(dynkin("A", 9), QQ), 2)
+    # 1 + 9 single mutations + 28 commuting non-adjacent pairs + 2 orders
+    # for each of the 8 adjacent pairs
+    assert result.seed_count == 54
+    assert not result.closed
+
+
 def test_explore_frozen_vertex_skipped():
     result = explore(seed_for("mixed-pair"), 3)
     # one mutable vertex: two seeds total, x2 never mutated
@@ -252,6 +336,65 @@ def test_pentagon_keys_identify_clusters():
     keys = {s.mutate(0).mutate(1).key(), s.mutate(0).mutate(1).key()}
     assert len(keys) == 1
     assert s.key() != s.mutate(0).key()
+
+
+@given(st.sampled_from(["a2", "a3", "markov", "cycle3-frozen",
+                         "path3-frozen", "mixed-pair"]),
+       st.lists(st.integers(min_value=0, max_value=2), max_size=3),
+       st.data())
+def test_key_invariant_under_relabeling(name, path, data):
+    s = seed_for(name)
+    for k in path:
+        if k in s.quiver.mutable:
+            s = s.mutate(k)
+    pi = data.draw(st.permutations(range(s.n)))
+    assert relabel(s, pi).key() == s.key()
+
+
+def test_key_separates_frozen_variant():
+    plain = seed_for("a2")
+    half = Seed(plain.quiver.freeze([1]), plain.vars)
+    assert plain.key() != half.key()
+
+
+def test_key_separates_orientations():
+    path = quiver_from_edges(3, [(0, 1), (1, 2)])
+    alternating = quiver_from_edges(3, [(0, 1), (2, 1)])
+    assert not perm_equivalent(path.b, alternating.b, path.frozen,
+                               alternating.frozen)
+    assert (initial_seed(path, QQ).key()
+            != initial_seed(alternating, QQ).key())
+    # mu_0 of the Markov quiver is its opposite, isomorphic to it by a
+    # transposition; with the same cluster on the same vertices the two
+    # seeds still differ
+    markov = seed_for("markov")
+    opposite = Seed(markov.quiver.mutate(0), markov.vars)
+    assert perm_equivalent(markov.quiver.b, opposite.quiver.b,
+                           markov.quiver.frozen, opposite.quiver.frozen)
+    assert markov.key() != opposite.key()
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("a2", 4), ("a3", 9), ("cycle3-frozen", 6), ("mixed-pair", 3),
+    ("markov", 3),
+])
+def test_explored_clusters_are_distinct(name, depth):
+    seeds = explore(seed_for(name), depth).seeds
+    by_cluster = {frozenset(s.vars): s for s in seeds}
+    # distinct unordered clusters, so no two explored seeds share a class
+    # of the brute-force key this one replaced (isomorphic quivers and the
+    # same unordered cluster)
+    assert len(by_cluster) == len(seeds)
+    # a mutation that reaches an explored cluster is merged with that seed
+    # by both keys, so the two keys make the same dedup decisions
+    for s in seeds:
+        for k in s.quiver.mutable:
+            t = s.mutate(k)
+            u = by_cluster.get(frozenset(t.vars))
+            if u is not None:
+                assert perm_equivalent(t.quiver.b, u.quiver.b,
+                                       t.quiver.frozen, u.quiver.frozen)
+                assert t.key() == u.key()
 
 
 def test_same_state_ignores_path():
