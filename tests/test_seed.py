@@ -351,6 +351,16 @@ def test_key_invariant_under_relabeling(name, path, data):
     assert relabel(s, pi).key() == s.key()
 
 
+def test_key_detects_relabeling():
+    s = initial_seed(quiver_from_edges(3, [(0, 1), (1, 2)]), QQ)
+    # the same path seed written with vertices 0 and 2 swapped
+    swapped = relabel(s, (2, 1, 0))
+    assert swapped.quiver.b == ((0, -1, 0), (1, 0, -1), (0, 1, 0))
+    assert perm_equivalent(s.quiver.b, swapped.quiver.b, s.quiver.frozen,
+                           swapped.quiver.frozen)
+    assert swapped.key() == s.key()
+
+
 def test_key_separates_frozen_variant():
     plain = seed_for("a2")
     half = Seed(plain.quiver.freeze([1]), plain.vars)
@@ -364,6 +374,9 @@ def test_key_separates_orientations():
                                alternating.frozen)
     assert (initial_seed(path, QQ).key()
             != initial_seed(alternating, QQ).key())
+
+
+def test_key_markov_mutation_opposite_quiver():
     # mu_0 of the Markov quiver is its opposite, isomorphic to it by a
     # transposition; with the same cluster on the same vertices the two
     # seeds still differ
@@ -372,6 +385,8 @@ def test_key_separates_orientations():
     assert perm_equivalent(markov.quiver.b, opposite.quiver.b,
                            markov.quiver.frozen, opposite.quiver.frozen)
     assert markov.key() != opposite.key()
+    # mutating twice at the same vertex comes back to the same key
+    assert markov.mutate(0).mutate(0).key() == markov.key()
 
 
 @pytest.mark.parametrize("name,depth", [
