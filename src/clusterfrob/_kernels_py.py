@@ -12,8 +12,6 @@ backend.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import BudgetExceededError
 
 _EXP_MAX = 2**63 - 1
@@ -74,11 +72,6 @@ def neg_terms(a, p):
     return {e: -c for e, c in a.items()}
 
 
-def _integral(terms):
-    return all(type(c) is Fraction and c.denominator == 1
-               for c in terms.values())
-
-
 def mul_terms(a, b, p, max_terms, raw):
     """Accumulating product.  Raises BudgetExceededError past max_terms
     merged terms, or when the raw pairwise work drains the shared
@@ -112,16 +105,7 @@ def mul_terms(a, b, p, max_terms, raw):
                 raise BudgetExceededError(
                     "max_terms", f"product exceeded {max_terms} terms")
     else:
-        # Cluster variables have integer coefficients, and Fraction
-        # arithmetic costs several times int arithmetic: multiply the
-        # numerators when every coefficient is integral, and make the
-        # merged sums Fractions again at the end.
-        integral = _integral(a) and _integral(b)
-        aitems = a.items()
-        if integral:
-            aitems = [(e, c.numerator) for e, c in aitems]
-            bitems = [(e, c.numerator) for e, c in bitems]
-        for ea, ca in aitems:
+        for ea, ca in a.items():
             remaining -= row_cost
             if remaining < 0:
                 raw[0] = 0
@@ -140,8 +124,6 @@ def mul_terms(a, b, p, max_terms, raw):
                 raw[0] = remaining
                 raise BudgetExceededError(
                     "max_terms", f"product exceeded {max_terms} terms")
-        if integral:
-            out = {e: Fraction(v) for e, v in out.items()}
     raw[0] = remaining
     return out
 

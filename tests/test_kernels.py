@@ -52,27 +52,6 @@ def test_mul_example_gf():
     assert pure.mul_terms(a, b, 5, 10**6, fresh()) == {(2,): 1, (0,): 1}
 
 
-def integral_qq_terms():
-    coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
-    return st.dictionaries(exps, coeffs.map(Fraction), max_size=8)
-
-
-@given(st.one_of(qq_terms(), integral_qq_terms()),
-       st.one_of(qq_terms(), integral_qq_terms()))
-def test_mul_qq_matches_schoolbook_product(a, b):
-    # integral inputs take the int-numerator path; the result must not
-    # depend on it, and every coefficient stays a Fraction
-    expected = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1])
-            expected[e] = expected.get(e, 0) + ca * cb
-    expected = {e: c for e, c in expected.items() if c}
-    out = pure.mul_terms(a, b, 0, PLENTY, fresh())
-    assert out == expected
-    assert all(type(c) is Fraction for c in out.values())
-
-
 def test_mul_respects_term_budget():
     a = {(i,): Fraction(1) for i in range(40)}
     b = {(40 * i,): Fraction(1) for i in range(40)}
