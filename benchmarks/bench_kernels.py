@@ -1,26 +1,19 @@
-"""Compare the pure-Python and compiled arithmetic kernels.
+"""Time the arithmetic kernels and two library workloads.
 
-Micro rows call both kernel modules directly on identical deterministic
-term dictionaries.  Macro rows re-run this file in a subprocess with
-CLUSTERFROB_BACKEND pinned, so the whole library stack uses one backend.
+Micro rows call the kernels directly on deterministic term dictionaries.
+Macro rows run a library workload in a fresh interpreter subprocess.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
-from clusterfrob import _kernels_py as pure
-
-try:
-    from clusterfrob import _accel as accel
-except ImportError:
-    accel = None
+from clusterfrob import kernels
 
 PLENTY = [10**12]
 
@@ -67,30 +60,25 @@ def micro_rows(repeat):
     a_qq = box_poly(12, 2, qq_coeff)        # 144 terms
     b_qq = box_poly(10, 2, qq_coeff)        # 100 terms
     a_line = line_poly(600, gf_coeff)       # quadratic work, few terms
-    prod_gf = pure.mul_terms(a_gf, b_gf, 5, 10**6, list(PLENTY))
+    prod_gf = kernels.mul_terms(a_gf, b_gf, 5, 10**6, list(PLENTY))
 
-    def div_workload(mod):
+    def div_workload():
         # peel one cancellation off the product repeatedly
         rem = dict(prod_gf)
         for e in sorted(a_gf)[:40]:
-            mod.submul_terms(rem, e, a_gf[e], b_gf, 5, list(PLENTY))
+            kernels.submul_terms(rem, e, a_gf[e], b_gf, 5, list(PLENTY))
 
     rows = [
-        ("mul GF(5) 256x196 box", lambda m: m.mul_terms(
+        ("mul GF(5) 256x196 box", lambda: kernels.mul_terms(
             a_gf, b_gf, 5, 10**6, list(PLENTY))),
-        ("mul QQ 144x100 box", lambda m: m.mul_terms(
+        ("mul QQ 144x100 box", lambda: kernels.mul_terms(
             a_qq, b_qq, 0, 10**6, list(PLENTY))),
-        ("mul GF(5) 600-term line", lambda m: m.mul_terms(
+        ("mul GF(5) 600-term line", lambda: kernels.mul_terms(
             a_line, a_line, 5, 10**6, list(PLENTY))),
-        ("add GF(5) 256+196", lambda m: m.add_terms(a_gf, b_gf, 5)),
+        ("add GF(5) 256+196", lambda: kernels.add_terms(a_gf, b_gf, 5)),
         ("submul GF(5) x40", div_workload),
     ]
-    out = []
-    for name, work in rows:
-        t_pure = best_of(lambda: work(pure), repeat)
-        t_acc = best_of(lambda: work(accel), repeat) if accel else None
-        out.append((name, t_pure, t_acc))
-    return out
+    return [(name, best_of(work, repeat)) for name, work in rows]
 
 
 MACRO_SNIPPETS = {
@@ -111,13 +99,12 @@ MACRO_SNIPPETS = {
 }
 
 
-def macro_time(snippet, backend):
-    env = dict(os.environ, CLUSTERFROB_BACKEND=backend)
+def macro_time(snippet):
     code = ("import time\n"
             "t0 = time.perf_counter()\n"
             + snippet +
             "print(time.perf_counter() - t0)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     return float(proc.stdout.strip())
 
@@ -130,21 +117,12 @@ def main():
 
     rows = micro_rows(args.repeat)
     for name, snippet in MACRO_SNIPPETS.items():
-        t_pure = macro_time(snippet, "pure")
-        t_acc = macro_time(snippet, "compiled") if accel else None
-        rows.append((name + " (subprocess)", t_pure, t_acc))
+        rows.append((name + " (subprocess)", macro_time(snippet)))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload':<{width}}  {'pure':>10}  {'compiled':>10}  speedup")
-    for name, t_pure, t_acc in rows:
-        if t_acc is None:
-            print(f"{name:<{width}}  {t_pure:>9.4f}s  {'n/a':>10}")
-        else:
-            print(f"{name:<{width}}  {t_pure:>9.4f}s  {t_acc:>9.4f}s  "
-                  f"{t_pure / t_acc:>6.1f}x")
-    if accel is None:
-        print("\ncompiled backend not built; rerun after "
-              "`pip install -e .` with a C toolchain")
+    print(f"{'workload':<{width}}  {'time':>10}")
+    for name, t in rows:
+        print(f"{name:<{width}}  {t:>9.4f}s")
 
 
 if __name__ == "__main__":

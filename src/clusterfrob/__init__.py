@@ -12,8 +12,7 @@ package centers on three layers:
   `SplittingMap`, `freg_witness_sink`) plus the Markov-family showcase
   and the lower-bound splitting machinery.
 
-The hot kernels have a compiled twin; `kernels.backend()` reports which
-one is live, and CLUSTERFROB_BACKEND=pure forces the fallback.
+All of them run on the pure-Python term-map kernels in `kernels`.
 """
 
 from . import budgets, corpus, kernels

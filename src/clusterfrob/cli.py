@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from . import budgets, corpus, kernels
+from . import budgets, corpus
 from .certificate import Certificate
 from .errors import (BadCharacteristicError, BudgetExceededError,
                      ClusterFrobError, LaurentViolationError,
@@ -349,13 +349,20 @@ def _cmd_volform(args) -> Certificate:
 # -- wiring -----------------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sp, budgets_too=True):
     sp.add_argument("--json", action="store_true",
                     help="emit the certificate as JSON")
     if budgets_too:
-        sp.add_argument("--budget-terms", type=int, default=None,
+        sp.add_argument("--budget-terms", type=positive_int, default=None,
                         help="max terms per polynomial")
-        sp.add_argument("--budget-seeds", type=int, default=None,
+        sp.add_argument("--budget-seeds", type=positive_int, default=None,
                         help="max seeds per exploration")
 
 
@@ -364,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cf",
         description="Exact cluster mutation and Frobenius-splitting "
                     "certificates.")
-    ap.add_argument("--backend", action="store_true",
-                    help="print the active kernel backend and exit")
     sub = ap.add_subparsers(dest="command")
 
     sp = sub.add_parser("mutate", help="mutate a seed along a vertex list")
@@ -447,17 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "backend", False) and args.command is None:
-        print(kernels.backend())
-        return 0
     if args.command is None:
         ap.print_help()
         return USAGE_EXIT
 
     overrides = {}
-    if getattr(args, "budget_terms", None):
+    if getattr(args, "budget_terms", None) is not None:
         overrides["max_terms"] = args.budget_terms
-    if getattr(args, "budget_seeds", None):
+    if getattr(args, "budget_seeds", None) is not None:
         overrides["max_seeds"] = args.budget_seeds
 
     started = time.perf_counter()
@@ -476,7 +478,7 @@ def main(argv=None) -> int:
         _stderr_time(started)
         return MATH_EXIT
     except (QuiverFormatError, BudgetExceededError, MutationAtFrozenError,
-            argparse.ArgumentTypeError, ValueError) as exc:
+            argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _stderr_time(started)
         return USAGE_EXIT

@@ -1,38 +1,181 @@
-"""Backend selection for the term-map kernels.
+"""Term-map kernels: the arithmetic under every LaurentPoly operation.
 
-Imports the compiled accelerator when it exists, otherwise the pure-Python
-twin.  CLUSTERFROB_BACKEND=pure forces the fallback; =compiled insists on
-the accelerator and fails loudly when it is missing.
+A polynomial is a dict mapping exponent tuples (ints) to nonzero
+coefficients.  `p == 0` means object coefficients (Fraction over QQ);
+`p > 0` means canonical residues mod p.
+
+Exponents are kept inside signed 64-bit range, so that a packed
+representation with fixed-width exponent fields can replace the tuples
+without changing what is accepted; going out of range raises
+OverflowError.
 """
 
 from __future__ import annotations
 
-import os
+from .errors import BudgetExceededError
 
-from . import _kernels_py
+_EXP_MAX = 2**63 - 1
+_EXP_MIN = -(2**63)
 
-_choice = os.environ.get("CLUSTERFROB_BACKEND", "auto").lower()
 
-if _choice == "pure":
-    _impl = _kernels_py
-elif _choice == "compiled":
-    from . import _accel as _impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import _accel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
+def _checked_add(ea, eb):
+    e = tuple(map(int.__add__, ea, eb))
+    for x in e:
+        if x > _EXP_MAX or x < _EXP_MIN:
+            raise OverflowError("exponent outside 64-bit range")
+    return e
 
-BACKEND = "compiled" if _impl.__name__.endswith("_accel") else "pure"
 
-add_terms = _impl.add_terms
-sub_terms = _impl.sub_terms
-neg_terms = _impl.neg_terms
-mul_terms = _impl.mul_terms
-scale_shift_terms = _impl.scale_shift_terms
-submul_terms = _impl.submul_terms
+def add_terms(a, b, p):
+    out = dict(a)
+    if p:
+        for e, c in b.items():
+            v = (out.get(e, 0) + c) % p
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    else:
+        for e, c in b.items():
+            old = out.get(e)
+            v = c if old is None else old + c
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
+
+
+def sub_terms(a, b, p):
+    out = dict(a)
+    if p:
+        for e, c in b.items():
+            v = (out.get(e, 0) - c) % p
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    else:
+        for e, c in b.items():
+            old = out.get(e)
+            v = -c if old is None else old - c
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+    return out
+
+
+def neg_terms(a, p):
+    if p:
+        return {e: p - c for e, c in a.items()}
+    return {e: -c for e, c in a.items()}
+
+
+def mul_terms(a, b, p, max_terms, raw):
+    """Accumulating product.  Raises BudgetExceededError past max_terms
+    merged terms, or when the raw pairwise work drains the shared
+    allowance `raw` (a one-element list, decremented in place)."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    bitems = list(b.items())
+    row_cost = len(bitems)
+    remaining = raw[0]
+    if p:
+        for ea, ca in a.items():
+            remaining -= row_cost
+            if remaining < 0:
+                raw[0] = 0
+                raise BudgetExceededError(
+                    "max_raw_products", "product work exhausted the raw "
+                    "term-product allowance")
+            for eb, cb in bitems:
+                e = _checked_add(ea, eb)
+                v = (get(e, 0) + ca * cb) % p
+                if v:
+                    out[e] = v
+                elif e in out:
+                    del out[e]
+            if len(out) > max_terms:
+                raw[0] = remaining
+                raise BudgetExceededError(
+                    "max_terms", f"product exceeded {max_terms} terms")
+    else:
+        for ea, ca in a.items():
+            remaining -= row_cost
+            if remaining < 0:
+                raw[0] = 0
+                raise BudgetExceededError(
+                    "max_raw_products", "product work exhausted the raw "
+                    "term-product allowance")
+            for eb, cb in bitems:
+                e = _checked_add(ea, eb)
+                old = get(e)
+                v = ca * cb if old is None else old + ca * cb
+                if v:
+                    out[e] = v
+                elif e in out:
+                    del out[e]
+            if len(out) > max_terms:
+                raw[0] = remaining
+                raise BudgetExceededError(
+                    "max_terms", f"product exceeded {max_terms} terms")
+    raw[0] = remaining
+    return out
+
+
+def scale_shift_terms(a, e0, c0, p):
+    """c0 * x^e0 * a with c0 nonzero."""
+    out = {}
+    if p:
+        for e, c in a.items():
+            v = c0 * c % p
+            if v:
+                out[_checked_add(e0, e)] = v
+    else:
+        for e, c in a.items():
+            out[_checked_add(e0, e)] = c0 * c
+    return out
+
+
+def submul_terms(rem, e0, c0, b, p, raw):
+    """In place: rem -= c0 * x^e0 * b.  Returns the keys that remain live.
+    Charges len(b) against the raw allowance like one product row."""
+    remaining = raw[0] - len(b)
+    if remaining < 0:
+        raw[0] = 0
+        raise BudgetExceededError(
+            "max_raw_products", "division work exhausted the raw "
+            "term-product allowance")
+    raw[0] = remaining
+    touched = []
+    if p:
+        for eb, cb in b.items():
+            e = _checked_add(e0, eb)
+            v = (rem.get(e, 0) - c0 * cb) % p
+            if v:
+                rem[e] = v
+                touched.append(e)
+            elif e in rem:
+                del rem[e]
+    else:
+        for eb, cb in b.items():
+            e = _checked_add(e0, eb)
+            old = rem.get(e)
+            v = -(c0 * cb) if old is None else old - c0 * cb
+            if v:
+                rem[e] = v
+                touched.append(e)
+            elif e in rem:
+                del rem[e]
+    return touched
 
 
 def backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'pure'."""
-    return BACKEND
+    """Always 'pure'.  Kept only because cfbench/run.py records
+    `kernels.backend()` in the details of each run."""
+    return "pure"

@@ -13,7 +13,7 @@ congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 (the monomial x^(p-1, ..., p-1) is the one the dual basis picks out).
 
 The f^(p-1) expansion is the hot loop of the whole package; it runs on the
-kernel backend under the max_raw_products budget.
+term-map kernels under the max_raw_products budget.
 """
 
 from __future__ import annotations

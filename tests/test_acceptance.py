@@ -45,7 +45,7 @@ RNG_SEED = 20260818
 # seeds use a generous allowance they never exhaust; the generalized
 # Markov seeds get a tight one so the whole criterion stays inside its
 # time bound. The allowance meter is deterministic, so the truncation
-# pattern is identical on both arithmetic backends.
+# pattern is identical from run to run.
 PATH_ALLOWANCE = {"markov3": 10_000, "markov4": 10_000}
 DEFAULT_ALLOWANCE = 1_000_000
 

@@ -129,12 +129,6 @@ def test_volform_path(capsys):
     assert "witness sign: -1" in out
 
 
-def test_backend_flag(capsys):
-    code, out, _ = run(capsys, "--backend")
-    assert code == 0
-    assert out.strip() in ("pure", "compiled")
-
-
 # -- quiver files ----------------------------------------------------------------
 
 
@@ -214,6 +208,23 @@ def test_budget_exit(capsys):
                        "--budget-seeds", "3")
     assert code == 2
     assert "max_seeds" in err
+
+
+@pytest.mark.parametrize("flag", ["--budget-terms", "--budget-seeds"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_below_one_rejected(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--quiver", "a2", "--depth", "2", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_exponent_out_of_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
+                         "--lhs", f"x1^{2**63 - 1}", "--rhs", "x1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent outside 64-bit range")
 
 
 def test_composite_prime_rejected(capsys):

@@ -1,24 +1,10 @@
-"""Term-dict kernels: pure/compiled parity and overflow guards."""
+"""Term-dict kernels: arithmetic, budgets and overflow guards."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from clusterfrob import BudgetExceededError, budgets, kernels
-from clusterfrob import _kernels_py as pure
-
-try:
-    from clusterfrob import _accel as accel
-except ImportError:
-    accel = None
-
-needs_accel = pytest.mark.skipif(accel is None,
-                                 reason="compiled kernels not built")
-
-exps = st.tuples(st.integers(min_value=-6, max_value=6),
-                 st.integers(min_value=-6, max_value=6))
 
 PLENTY = 10**9
 
@@ -28,54 +14,53 @@ def fresh():
     return [PLENTY]
 
 
-def qq_terms():
-    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
-    return st.dictionaries(exps, coeffs.filter(bool), max_size=8)
-
-
-def gf_terms(p):
-    return st.dictionaries(exps, st.integers(min_value=1, max_value=p - 1),
-                           max_size=8)
+def one(p):
+    """The coefficient 1 in the representation the kernels use for p."""
+    return 1 if p else Fraction(1)
 
 
 def test_add_merges_and_drops_zeros():
     a = {(1, 0): Fraction(2), (0, 1): Fraction(1)}
     b = {(1, 0): Fraction(-2), (2, 0): Fraction(5)}
-    assert pure.add_terms(a, b, 0) == {(0, 1): Fraction(1),
-                                       (2, 0): Fraction(5)}
+    assert kernels.add_terms(a, b, 0) == {(0, 1): Fraction(1),
+                                          (2, 0): Fraction(5)}
 
 
 def test_mul_example_gf():
     # (x + 2) * (x + 3) = x^2 + 5x + 6 = x^2 + 1 over GF(5)
     a = {(1,): 1, (0,): 2}
     b = {(1,): 1, (0,): 3}
-    assert pure.mul_terms(a, b, 5, 10**6, fresh()) == {(2,): 1, (0,): 1}
+    assert kernels.mul_terms(a, b, 5, 10**6, fresh()) == {(2,): 1, (0,): 1}
 
 
 def test_mul_respects_term_budget():
     a = {(i,): Fraction(1) for i in range(40)}
     b = {(40 * i,): Fraction(1) for i in range(40)}
     with pytest.raises(BudgetExceededError) as err:
-        pure.mul_terms(a, b, 0, 100, fresh())
+        kernels.mul_terms(a, b, 0, 100, fresh())
     assert err.value.budget == "max_terms"
 
 
-def test_mul_respects_raw_product_budget():
+@pytest.mark.parametrize("p", [0, 5])
+def test_mul_respects_raw_product_budget(p):
     # 40 x 40 = 1600 pairwise products but only 79 distinct result terms,
     # so the term cap alone would never fire.
-    a = {(i,): Fraction(1) for i in range(40)}
+    a = {(i,): one(p) for i in range(40)}
     with pytest.raises(BudgetExceededError) as err:
-        pure.mul_terms(a, a, 0, 10**6, [1000])
+        kernels.mul_terms(a, a, p, 10**6, [1000])
     assert err.value.budget == "max_raw_products"
+    allowance = [40 * 40]
+    kernels.mul_terms(a, a, p, 10**6, allowance)
+    assert allowance[0] == 0
 
 
 def test_raw_allowance_is_cumulative_inside_meter():
     a = {(i,): Fraction(1) for i in range(10)}
     with budgets.raw_meter(150) as meter:
-        pure.mul_terms(a, a, 0, 10**6, meter)  # costs 100
+        kernels.mul_terms(a, a, 0, 10**6, meter)  # costs 100
         assert meter[0] == 50
         with pytest.raises(BudgetExceededError) as err:
-            pure.mul_terms(a, a, 0, 10**6, meter)  # needs 100 more
+            kernels.mul_terms(a, a, 0, 10**6, meter)  # needs 100 more
         assert err.value.budget == "max_raw_products"
         assert meter[0] == 0
 
@@ -84,117 +69,50 @@ def test_raw_allowance_fresh_outside_meter():
     a = {(i,): Fraction(1) for i in range(10)}
     with budgets.limits(max_raw_products=150):
         # Each bare call draws a fresh allowance, so both succeed.
-        pure.mul_terms(a, a, 0, 10**6, budgets.raw_allowance())
-        pure.mul_terms(a, a, 0, 10**6, budgets.raw_allowance())
+        kernels.mul_terms(a, a, 0, 10**6, budgets.raw_allowance())
+        kernels.mul_terms(a, a, 0, 10**6, budgets.raw_allowance())
         with budgets.raw_meter() as meter:
-            pure.mul_terms(a, a, 0, 10**6, meter)
+            kernels.mul_terms(a, a, 0, 10**6, meter)
             with pytest.raises(BudgetExceededError):
-                pure.mul_terms(a, a, 0, 10**6, meter)
+                kernels.mul_terms(a, a, 0, 10**6, meter)
 
 
 def test_exponent_overflow_guard():
     big = 2**62
     a = {(big,): Fraction(1)}
     with pytest.raises(OverflowError):
-        pure.mul_terms(a, a, 0, 10**6, fresh())
+        kernels.mul_terms(a, a, 0, 10**6, fresh())
 
 
 def test_scale_shift():
     a = {(1, 1): 3, (0, 2): 4}
-    out = pure.scale_shift_terms(a, (2, -1), 2, 7)
+    out = kernels.scale_shift_terms(a, (2, -1), 2, 7)
     assert out == {(3, 0): 6, (2, 1): 1}
+    # negation over GF(7) is scaling by 6
+    assert kernels.neg_terms(out, 7) == {(3, 0): 1, (2, 1): 6}
 
 
 def test_submul_updates_in_place():
     rem = {(2,): Fraction(1), (1,): Fraction(1)}
-    touched = pure.submul_terms(rem, (1,), Fraction(1), {(1,): Fraction(1)},
-                                0, fresh())
+    touched = kernels.submul_terms(rem, (1,), Fraction(1),
+                                   {(1,): Fraction(1)}, 0, fresh())
     assert rem == {(1,): Fraction(1)}
     assert set(touched) <= set(rem)
 
 
-def test_submul_charges_raw_allowance():
-    rem = {(2,): Fraction(1)}
-    b = {(i,): Fraction(1) for i in range(5)}
+@pytest.mark.parametrize("p", [0, 5])
+def test_submul_charges_raw_allowance(p):
+    rem = {(2,): one(p)}
+    b = {(i,): one(p) for i in range(5)}
     allowance = [12]
-    pure.submul_terms(rem, (0,), Fraction(1), b, 0, allowance)
+    kernels.submul_terms(rem, (0,), one(p), b, p, allowance)
     assert allowance[0] == 7
-    pure.submul_terms(rem, (1,), Fraction(1), b, 0, allowance)
+    kernels.submul_terms(rem, (1,), one(p), b, p, allowance)
     assert allowance[0] == 2
     with pytest.raises(BudgetExceededError) as err:
-        pure.submul_terms(rem, (2,), Fraction(1), b, 0, allowance)
+        kernels.submul_terms(rem, (2,), one(p), b, p, allowance)
     assert err.value.budget == "max_raw_products"
 
 
 def test_backend_reports():
-    assert kernels.backend() in ("pure", "compiled")
-    assert kernels.BACKEND == kernels.backend()
-
-
-@needs_accel
-@given(qq_terms(), qq_terms())
-def test_parity_add_sub_qq(a, b):
-    assert accel.add_terms(dict(a), dict(b), 0) == pure.add_terms(
-        dict(a), dict(b), 0)
-    assert accel.sub_terms(dict(a), dict(b), 0) == pure.sub_terms(
-        dict(a), dict(b), 0)
-
-
-@needs_accel
-@given(qq_terms(), qq_terms())
-def test_parity_mul_qq(a, b):
-    assert accel.mul_terms(dict(a), dict(b), 0, 10**6, fresh()) == \
-        pure.mul_terms(dict(a), dict(b), 0, 10**6, fresh())
-
-
-@needs_accel
-@given(gf_terms(5), gf_terms(5))
-def test_parity_mul_gf(a, b):
-    assert accel.mul_terms(dict(a), dict(b), 5, 10**6, fresh()) == \
-        pure.mul_terms(dict(a), dict(b), 5, 10**6, fresh())
-
-
-@needs_accel
-@given(gf_terms(7), gf_terms(7))
-def test_parity_add_neg_gf(a, b):
-    assert accel.add_terms(dict(a), dict(b), 7) == pure.add_terms(
-        dict(a), dict(b), 7)
-    assert accel.neg_terms(dict(a), 7) == pure.neg_terms(dict(a), 7)
-
-
-@needs_accel
-def test_parity_large_prime_delegates():
-    p = 2**61 - 1  # beyond the compiled small-prime fast path
-    a = {(1,): p - 1, (0,): 2}
-    assert accel.mul_terms(a, a, p, 10**6, fresh()) == \
-        pure.mul_terms(a, a, p, 10**6, fresh())
-
-
-@needs_accel
-def test_parity_raw_budget_gf():
-    a = {(i,): 1 for i in range(40)}
-    with pytest.raises(BudgetExceededError) as err:
-        accel.mul_terms(a, a, 5, 10**6, [1000])
-    assert err.value.budget == "max_raw_products"
-    allowance = [40 * 40]
-    accel.mul_terms(a, a, 5, 10**6, allowance)
-    assert allowance[0] == 0
-
-
-@needs_accel
-def test_parity_submul_raw_budget():
-    rem = {(2,): 1}
-    b = {(i,): 1 for i in range(5)}
-    allowance = [7]
-    accel.submul_terms(rem, (0,), 1, b, 5, allowance)
-    assert allowance[0] == 2
-    with pytest.raises(BudgetExceededError) as err:
-        accel.submul_terms(rem, (1,), 1, b, 5, allowance)
-    assert err.value.budget == "max_raw_products"
-
-
-@needs_accel
-@given(gf_terms(5), exps, st.integers(min_value=1, max_value=4))
-def test_parity_scale_shift(a, shift, c):
-    assert accel.scale_shift_terms(dict(a), shift, c, 5) == \
-        pure.scale_shift_terms(dict(a), shift, c, 5)
+    assert kernels.backend() == "pure"
