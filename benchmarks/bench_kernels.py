@@ -1,4 +1,4 @@
-"""Time the arithmetic kernels and two library workloads.
+"""Time the arithmetic kernels and three library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
@@ -13,7 +13,8 @@ import sys
 import time
 from fractions import Fraction
 
-from clusterfrob import kernels
+from clusterfrob import GF, corpus, initial_seed, kernels
+from clusterfrob.lowerbound import lower_bound_generators
 
 PLENTY = [10**12]
 
@@ -45,6 +46,22 @@ def qq_coeff(rng):
     return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
 
 
+def psi_factors(name, p):
+    """f^(p-1) and f of a lower-bound presentation: the factors of
+    psi(f) = split of (f^(p-1) * f)^(1/p)."""
+    pres = lower_bound_generators(initial_seed(corpus.load(name), GF(p)))
+    return (pres.f ** (p - 1)).terms, pres.f.terms
+
+
+def unfused_split(a, b, p):
+    """The unfused reference: the whole product, then the residue filter."""
+    out = {}
+    for e, c in kernels.mul_terms(a, b, p, 10**6, list(PLENTY)).items():
+        if all(x % p == p - 1 for x in e):
+            out[tuple((x - (p - 1)) // p for x in e)] = c
+    return out
+
+
 def best_of(fn, repeat):
     times = []
     for _ in range(repeat):
@@ -61,6 +78,8 @@ def micro_rows(repeat):
     b_qq = box_poly(10, 2, qq_coeff)        # 100 terms
     a_line = line_poly(600, gf_coeff)       # quadratic work, few terms
     prod_gf = kernels.mul_terms(a_gf, b_gf, 5, 10**6, list(PLENTY))
+    fpow, f = psi_factors("a3", 5)
+    psi_rows = f"{len(fpow)}x{len(f)}"
 
     def div_workload():
         # peel one cancellation off the product repeatedly
@@ -77,6 +96,10 @@ def micro_rows(repeat):
             a_line, a_line, 5, 10**6, list(PLENTY))),
         ("add GF(5) 256+196", lambda: kernels.add_terms(a_gf, b_gf, 5)),
         ("submul GF(5) x40", div_workload),
+        (f"psi split a3 p=5 {psi_rows} fused", lambda: kernels.mul_split_terms(
+            fpow, f, 5, 5, 4, 10**6, list(PLENTY))),
+        (f"psi split a3 p=5 {psi_rows} mul+filter",
+         lambda: unfused_split(fpow, f, 5)),
     ]
     return [(name, best_of(work, repeat)) for name, work in rows]
 
@@ -96,6 +119,15 @@ MACRO_SNIPPETS = {
         "s = initial_seed(corpus.load('a3'), GF(3))\n"
         "sample = list(itertools.product(range(-6, 7), repeat=3))\n"
         "assert splitting_invariance_check(s, 0, 3, sample).ok\n"),
+    "compat a3 p=5 degree 2": (
+        "from clusterfrob import corpus\n"
+        "from clusterfrob.fields import GF\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "from clusterfrob.lowerbound import (compat_check,\n"
+        "    degree_bounded_monomials, lower_bound_generators)\n"
+        "seed = initial_seed(corpus.load('a3'), GF(5))\n"
+        "pres = lower_bound_generators(seed)\n"
+        "assert compat_check(pres, 5, degree_bounded_monomials(6, 2)).ok\n"),
 }
 
 

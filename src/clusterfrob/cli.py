@@ -356,6 +356,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(sp, budgets_too=True):
     sp.add_argument("--json", action="store_true",
                     help="emit the certificate as JSON")
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--quiver", required=True)
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--check", required=True, choices=["split", "compat"])
-    sp.add_argument("--degree", type=int, default=2)
+    sp.add_argument("--degree", type=nonnegative_int, default=2)
     _add_common(sp)
     sp.set_defaults(func=_cmd_lowerbound)
 

@@ -1,4 +1,6 @@
-"""Term-map kernels: the arithmetic under every LaurentPoly operation.
+"""Term-map kernels: the arithmetic under every LaurentPoly operation,
+plus `mul_split_terms`, a product over GF(p) that forms only the terms a
+splitting keeps (the psi map of `lowerbound` runs on it).
 
 A polynomial is a dict mapping exponent tuples (ints) to nonzero
 coefficients.  `p == 0` means object coefficients (Fraction over QQ);
@@ -124,6 +126,52 @@ def mul_terms(a, b, p, max_terms, raw):
                 raw[0] = remaining
                 raise BudgetExceededError(
                     "max_terms", f"product exceeded {max_terms} terms")
+    raw[0] = remaining
+    return out
+
+
+def mul_split_terms(a, b, p, q, r, max_terms, raw):
+    """The split of a product over GF(p): the terms of a * b whose
+    exponents are all congruent to r mod q, each stored at (e - r) // q.
+
+    Only those pairs are formed.  The smaller factor is grouped by
+    exponent residue mod q, and each term of the other factor meets the
+    one group that completes its residue to r in every coordinate.  Each
+    such row charges the size of that group against `raw` before its
+    pairs are formed; `max_terms` and the range guard apply as in
+    mul_terms.  Pairs outside the residue class are never formed, so
+    they are neither charged nor range-checked."""
+    if not a or not b:
+        return {}
+    if len(a) < len(b):
+        a, b = b, a
+    groups = {}
+    for eb, cb in b.items():
+        groups.setdefault(tuple(x % q for x in eb), []).append((eb, cb))
+    out = {}
+    get = out.get
+    remaining = raw[0]
+    for ea, ca in a.items():
+        group = groups.get(tuple((r - x) % q for x in ea))
+        if group is None:
+            continue
+        remaining -= len(group)
+        if remaining < 0:
+            raw[0] = 0
+            raise BudgetExceededError(
+                "max_raw_products", "product work exhausted the raw "
+                "term-product allowance")
+        for eb, cb in group:
+            e = tuple((x - r) // q for x in _checked_add(ea, eb))
+            v = (get(e, 0) + ca * cb) % p
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+        if len(out) > max_terms:
+            raw[0] = remaining
+            raise BudgetExceededError(
+                "max_terms", f"product exceeded {max_terms} terms")
     raw[0] = remaining
     return out
 

@@ -12,15 +12,18 @@ itself.  The basis split keeps exactly the monomials with every exponent
 congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 (the monomial x^(p-1, ..., p-1) is the one the dual basis picks out).
 
-The f^(p-1) expansion is the hot loop of the whole package; it runs on the
-term-map kernels under the max_raw_products budget.
+psi never forms the whole product f^(p-1) * r: the fused kernel
+`kernels.mul_split_terms` pairs each term of f^(p-1) only with the terms
+of r that complete it to the kept residue class.  f^(p-1) itself is built
+once per presentation by plain products.  Both run under the
+max_raw_products budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import budgets
+from . import budgets, kernels
 from .errors import BudgetExceededError, FieldMismatchError, NotDivisibleError
 from .fields import GF, same_field
 from .laurent import LaurentPoly, RationalExpr
@@ -120,6 +123,25 @@ class _ProductMeter:
                 f"psi expansion needs more than {self.limit} term-products")
         return a * b
 
+    def mul_split(self, a: LaurentPoly, b: LaurentPoly,
+                  p: int) -> LaurentPoly:
+        """The basis split of (a * b)^(1/p), forming only the pairs it
+        keeps.  The kernel runs on the smaller of what is left of this
+        meter and of the enclosing raw allowance, and its work is charged
+        to both."""
+        outer = budgets.raw_allowance()
+        allowance = [min(outer[0], self.limit - self.used)]
+        start = allowance[0]
+        try:
+            terms = kernels.mul_split_terms(
+                a.terms, b.terms, p, p, p - 1,
+                budgets.current().max_terms, allowance)
+        finally:
+            used = start - allowance[0]
+            self.used += used
+            outer[0] -= used
+        return LaurentPoly(b.field, b.n, terms)
+
 
 def _f_power(pres: LowerBoundPresentation, exponent: int,
              meter: _ProductMeter) -> LaurentPoly:
@@ -151,12 +173,7 @@ def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
         raise ValueError("psi arguments live in the polynomial ring; "
                          "negative exponents are not allowed")
     meter = _ProductMeter(budgets.current().max_raw_products)
-    big = meter.mul(_f_power(pres, p - 1, meter), r)
-    out = {}
-    for exps, c in big.terms.items():
-        if all(a % p == p - 1 for a in exps):
-            out[tuple((a - (p - 1)) // p for a in exps)] = c
-    return LaurentPoly(r.field, r.n, out)
+    return meter.mul_split(_f_power(pres, p - 1, meter), r, p)
 
 
 def verify_lb_splitting(pres: LowerBoundPresentation, p: int) -> bool:

@@ -219,6 +219,16 @@ def test_budget_below_one_rejected(capsys, flag, value):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_negative_degree_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lowerbound", "--quiver", "a2", "--prime", "3", "--check",
+              "compat", "--degree", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
 def test_exponent_out_of_range_is_usage_error(capsys):
     code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
                          "--lhs", f"x1^{2**63 - 1}", "--rhs", "x1")

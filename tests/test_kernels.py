@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clusterfrob import BudgetExceededError, budgets, kernels
 
@@ -82,6 +84,76 @@ def test_exponent_overflow_guard():
     a = {(big,): Fraction(1)}
     with pytest.raises(OverflowError):
         kernels.mul_terms(a, a, 0, 10**6, fresh())
+
+
+# -- fused multiply-and-split ------------------------------------------------
+
+
+def split_oracle(a, b, p, q, r):
+    """The unfused path: the whole product, then the residue filter."""
+    out = {}
+    for e, c in kernels.mul_terms(a, b, p, 10**6, fresh()).items():
+        if all(x % q == r for x in e):
+            out[tuple((x - r) // q for x in e)] = c
+    return out
+
+
+def pairs_in_class(a, b, q, r):
+    return sum(all((x + y) % q == r for x, y in zip(ea, eb))
+               for ea in a for eb in b)
+
+
+@st.composite
+def split_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    q = draw(st.sampled_from([p, p * p]))
+    r = draw(st.sampled_from([0, q - 1]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-12, max_value=12)] * nvars)
+    coeffs = st.integers(min_value=1, max_value=p - 1)
+    a = draw(st.dictionaries(exps, coeffs, max_size=12))
+    b = draw(st.dictionaries(exps, coeffs, max_size=30))
+    return p, q, r, a, b
+
+
+@given(split_cases())
+def test_mul_split_matches_unfused_product(case):
+    p, q, r, a, b = case
+    want = split_oracle(a, b, p, q, r)
+    # both argument orders, so either factor is the one grouped
+    assert kernels.mul_split_terms(a, b, p, q, r, 10**6, fresh()) == want
+    assert kernels.mul_split_terms(b, a, p, q, r, 10**6, fresh()) == want
+
+
+def test_mul_split_drains_raw_by_pairs_formed():
+    a = {(i, j): 1 + (i + j) % 4 for i in range(-7, 8) for j in range(5)}
+    b = {(i, 2 * i): 3 for i in range(9)}
+    pairs = pairs_in_class(a, b, 5, 4)
+    assert 0 < pairs < len(a) * len(b)
+    for x, y in ((a, b), (b, a)):
+        allowance = [pairs + 3]
+        kernels.mul_split_terms(x, y, 5, 5, 4, 10**6, allowance)
+        assert allowance[0] == 3
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_split_terms(a, b, 5, 5, 4, 10**6, [pairs - 1])
+    assert err.value.budget == "max_raw_products"
+
+
+def test_mul_split_respects_term_budget():
+    a = {(i,): 1 for i in range(0, 200, 5)}
+    b = {(5 * i + 4,): 1 for i in range(0, 400, 40)}
+    out = kernels.mul_split_terms(a, b, 7, 5, 4, 10**6, fresh())
+    assert len(out) == len(a) * len(b)
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_split_terms(a, b, 7, 5, 4, 100, fresh())
+    assert err.value.budget == "max_terms"
+
+
+def test_mul_split_overflow_guard():
+    # the pair lands in the kept class, and its sum leaves 64-bit range
+    a = {(5 * 2**60,): 1}
+    with pytest.raises(OverflowError):
+        kernels.mul_split_terms(a, a, 5, 5, 0, 10**6, fresh())
 
 
 def test_scale_shift():

@@ -1,10 +1,13 @@
 """Presented lower bound: generators, basis splitting, compatibility."""
 
+import time
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, QQ, FieldMismatchError, LaurentPoly, corpus,
+from clusterfrob import (GF, QQ, BudgetExceededError, FieldMismatchError,
+                         LaurentPoly, budgets, corpus,
                          compat_check, degree_bounded_monomials,
                          initial_seed, localization_identity_check,
                          lower_bound_generators, psi_f_apply,
@@ -73,21 +76,90 @@ def test_psi_of_one_is_one():
             assert verify_lb_splitting(pres_for(name, p), p), (name, p)
 
 
-def test_psi_monomial_images():
-    pres = pres_for("a2", 3)
-    fld = GF(3)
-    # the diagonal monomial (x1 y1 x2 y2)^2 * itself:
-    # psi picks out exponents congruent to p-1 = 2 and divides
-    r = lp(fld, 4, [((4, 4, 4, 4), 1)])  # f^2 * r has exponent 2 mod 3
-    out = psi_f_apply(pres, r, 3)
-    # oracle: (a - 2)/3 from total exponent a = 2 + 4 + (cross terms...)
-    # keep it simple: psi is additive, check via the defining expansion
-    big = pres.f ** 2 * r
-    expected_terms = {}
-    for e, c in big.terms.items():
-        if all(a % 3 == 2 for a in e):
-            expected_terms[tuple((a - 2) // 3 for a in e)] = c
-    assert out.terms == expected_terms
+def unfused_psi(fpow, r, p):
+    """The defining expansion: the whole product f^(p-1) * r, then the
+    basis split (exponents congruent to p-1, minus p-1, divided by p)."""
+    out = {}
+    for e, c in (fpow * r).terms.items():
+        if all(a % p == p - 1 for a in e):
+            out[tuple((a - (p - 1)) // p for a in e)] = c
+    return out
+
+
+_PRES = {}
+
+
+def cached_pres(name, p):
+    """The presentation and its f^(p-1), built once for all tests here."""
+    if (name, p) not in _PRES:
+        pres = pres_for(name, p)
+        _PRES[name, p] = pres, pres.f ** (p - 1)
+    return _PRES[name, p]
+
+
+@st.composite
+def psi_cases(draw):
+    name = draw(st.sampled_from(["a2", "a3"]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    nn = 4 if name == "a2" else 6
+    e = st.tuples(*[st.integers(min_value=0, max_value=2 * p)] * nn)
+    c = st.integers(min_value=1, max_value=p - 1)
+    terms = draw(st.dictionaries(e, c, max_size=4))
+    r = lp(GF(p), nn, list(terms.items()))
+    if draw(st.booleans()):
+        r = cached_pres(name, p)[0].f * r    # a compat argument f * g
+    return name, p, r
+
+
+@given(psi_cases())
+@example(("a2", 3, lp(GF(3), 4, [((4, 4, 4, 4), 1)])))
+def test_psi_monomial_images(case):
+    name, p, r = case
+    pres, fpow = cached_pres(name, p)
+    assert psi_f_apply(pres, r, p).terms == unfused_psi(fpow, r, p)
+
+
+def psi_pairs(fpow, r, p):
+    """Raw term products psi forms once f^(p-1) is built: the pairs whose
+    exponent sums are all congruent to p-1."""
+    return sum(all((a + b) % p == p - 1 for a, b in zip(ea, eb))
+               for ea in fpow.terms for eb in r.terms)
+
+
+def test_psi_raw_budget():
+    pres, fpow = cached_pres("a3", 5)
+    assert verify_lb_splitting(pres, 5)   # builds and caches f^4 in psi
+    r = pres.f * LaurentPoly.monomial(GF(5), 6, (4, 4, 4, 4, 4, 4))
+    pairs = psi_pairs(fpow, r, 5)
+    assert pairs > 0
+    with budgets.limits(max_raw_products=pairs):
+        psi_f_apply(pres, r, 5)
+    with budgets.limits(max_raw_products=pairs - 1):
+        with pytest.raises(BudgetExceededError) as err:
+            psi_f_apply(pres, r, 5)
+    assert err.value.budget == "max_raw_products"
+
+
+def test_psi_charges_enclosing_raw_meter():
+    pres, fpow = cached_pres("a3", 5)
+    assert verify_lb_splitting(pres, 5)
+    r = pres.f * LaurentPoly.monomial(GF(5), 6, (4, 9, 4, 4, 4, 14))
+    pairs = psi_pairs(fpow, r, 5)
+    with budgets.raw_meter(pairs + 7) as meter:
+        psi_f_apply(pres, r, 5)
+        assert meter[0] == 7
+        with pytest.raises(BudgetExceededError) as err:
+            psi_f_apply(pres, r, 5)
+    assert err.value.budget == "max_raw_products"
+
+
+def test_psi_budget_covers_f_power():
+    # a fresh presentation builds f^(p-1) inside psi, under the same limit
+    pres = pres_for("a3", 5)
+    with budgets.limits(max_raw_products=1000):
+        with pytest.raises(BudgetExceededError) as err:
+            verify_lb_splitting(pres, 5)
+    assert err.value.budget == "max_raw_products"
 
 
 def test_psi_rejects_negative_exponents():
@@ -128,6 +200,21 @@ def test_compat_small_degrees():
                               degree_bounded_monomials(4, 2))
         assert report.ok
         assert report.checked == len(degree_bounded_monomials(4, 2))
+
+
+@pytest.mark.parametrize("name,p,degree,samples", [
+    ("a3", 7, 3, 84),
+    ("markov", 5, 2, 28),
+])
+def test_compat_larger_cases_within_time_bound(name, p, degree, samples):
+    t0 = time.perf_counter()
+    pres = pres_for(name, p)
+    assert verify_lb_splitting(pres, p)
+    report = compat_check(pres, p,
+                          degree_bounded_monomials(2 * pres.n, degree))
+    elapsed = time.perf_counter() - t0
+    assert report.ok and report.checked == samples
+    assert elapsed < 10.0, f"{elapsed:.1f}s"
 
 
 def test_compat_accepts_monomial_tuples():
