@@ -2,6 +2,8 @@
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
+Both import clusterfrob from this checkout's src/, never an installed
+copy.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -12,9 +14,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from clusterfrob import GF, corpus, initial_seed, kernels
-from clusterfrob.lowerbound import lower_bound_generators
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from clusterfrob import (GF, LaurentPoly, corpus,  # noqa: E402
+                         initial_seed, kernels)
+from clusterfrob.lowerbound import lower_bound_generators  # noqa: E402
 
 PLENTY = [10**12]
 
@@ -80,6 +87,10 @@ def micro_rows(repeat):
     prod_gf = kernels.mul_terms(a_gf, b_gf, 5, 10**6, list(PLENTY))
     fpow, f = psi_factors("a3", 5)
     psi_rows = f"{len(fpow)}x{len(f)}"
+    mono = {(3, -2): 2}
+    prod_poly = LaurentPoly(GF(5), 2, prod_gf)
+    mono_poly = LaurentPoly(GF(5), 2, mono)
+    div_rows = f"{len(prod_gf)}-term"
 
     def div_workload():
         # peel one cancellation off the product repeatedly
@@ -94,12 +105,18 @@ def micro_rows(repeat):
             a_qq, b_qq, 0, 10**6, list(PLENTY))),
         ("mul GF(5) 600-term line", lambda: kernels.mul_terms(
             a_line, a_line, 5, 10**6, list(PLENTY))),
+        ("mul GF(5) 1x256 one-term factor", lambda: kernels.mul_terms(
+            mono, a_gf, 5, 10**6, list(PLENTY))),
         ("add GF(5) 256+196", lambda: kernels.add_terms(a_gf, b_gf, 5)),
         ("submul GF(5) x40", div_workload),
         (f"psi split a3 p=5 {psi_rows} fused", lambda: kernels.mul_split_terms(
             fpow, f, 5, 5, 4, 10**6, list(PLENTY))),
         (f"psi split a3 p=5 {psi_rows} mul+filter",
          lambda: unfused_split(fpow, f, 5)),
+        (f"div GF(5) {div_rows} by monomial shift",
+         lambda: prod_poly.exact_divide(mono_poly)),
+        (f"div GF(5) {div_rows} by monomial cancellation",
+         lambda: prod_poly._divide_by_cancellation(mono_poly)),
     ]
     return [(name, best_of(work, repeat)) for name, work in rows]
 
@@ -132,7 +149,8 @@ MACRO_SNIPPETS = {
 
 
 def macro_time(snippet):
-    code = ("import time\n"
+    code = ("import sys, time\n"
+            f"sys.path.insert(0, {str(SRC)!r})\n"
             "t0 = time.perf_counter()\n"
             + snippet +
             "print(time.perf_counter() - t0)\n")

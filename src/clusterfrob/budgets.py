@@ -57,11 +57,6 @@ def current() -> Budgets:
     return _current
 
 
-def set_current(b: Budgets) -> None:
-    global _current
-    _current = b
-
-
 @contextmanager
 def limits(**overrides):
     """Temporarily override selected budget fields."""

@@ -33,6 +33,3 @@ def load(name: str) -> Quiver:
             / f"{base}.quiver").read_text(encoding="utf-8")
     return load_quiver_text(text, source=f"corpus:{base}")
 
-
-def load_all() -> dict[str, Quiver]:
-    return {n: load(n) for n in NAMES}

@@ -74,12 +74,16 @@ def split_apply(m: SplittingMap, r: RationalExpr | LaurentPoly
     """Evaluate the splitting map on a fraction by clearing denominators:
     with twist*r = a/b and q = p^e, the value is
     standard_split(a * b^(q-1)) / b, returned with the final division
-    attempted (so Laurent values come back with denominator 1)."""
+    attempted (so Laurent values come back with denominator 1).  When b
+    is 1 the value is standard_split(a), with no product and no
+    division."""
     if isinstance(r, LaurentPoly):
         r = RationalExpr(r)
     _require_prime_field(r, m.p)
-    a = m.twist.num * r.num
-    b = m.twist.den * r.den
+    fraction = m.twist * r
+    a, b = fraction.num, fraction.den
+    if b.is_one():
+        return RationalExpr(standard_split(a, m.p, m.e), b)
     q = m.p ** m.e
     cleared = standard_split(a * b ** (q - 1), m.p, m.e)
     return RationalExpr(cleared, b).simplify()

@@ -6,6 +6,11 @@ A polynomial is a dict mapping exponent tuples (ints) to nonzero
 coefficients.  `p == 0` means object coefficients (Fraction over QQ);
 `p > 0` means canonical residues mod p.
 
+Laurent monomials are units: a product with a one-term factor is a
+shift, `scale_shift_terms`, with no merge, charged like the one row of
+the general product.  `LaurentPoly.exact_divide` divides by a one-term
+divisor the same way.
+
 Exponents are kept inside signed 64-bit range, so that a packed
 representation with fixed-width exponent fields can replace the tuples
 without changing what is accepted; going out of range raises
@@ -77,11 +82,26 @@ def neg_terms(a, p):
 def mul_terms(a, b, p, max_terms, raw):
     """Accumulating product.  Raises BudgetExceededError past max_terms
     merged terms, or when the raw pairwise work drains the shared
-    allowance `raw` (a one-element list, decremented in place)."""
+    allowance `raw` (a one-element list, decremented in place).  A
+    one-term factor makes the product a shift, charged as one row."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        remaining = raw[0] - len(b)
+        if remaining < 0:
+            raw[0] = 0
+            raise BudgetExceededError(
+                "max_raw_products", "product work exhausted the raw "
+                "term-product allowance")
+        (ea, ca), = a.items()
+        out = scale_shift_terms(b, ea, ca, p)
+        raw[0] = remaining
+        if len(out) > max_terms:
+            raise BudgetExceededError(
+                "max_terms", f"product exceeded {max_terms} terms")
+        return out
     out = {}
     get = out.get
     bitems = list(b.items())
@@ -177,7 +197,10 @@ def mul_split_terms(a, b, p, q, r, max_terms, raw):
 
 
 def scale_shift_terms(a, e0, c0, p):
-    """c0 * x^e0 * a with c0 nonzero."""
+    """c0 * x^e0 * a with c0 nonzero: distinct exponents stay distinct,
+    so nothing merges, and a coefficient 1 multiplies nothing."""
+    if c0 == 1:
+        return {_checked_add(e0, e): c for e, c in a.items()}
     out = {}
     if p:
         for e, c in a.items():

@@ -7,6 +7,11 @@ leading-term cancellation, termwise partial derivatives, the canonical text
 rendering used by the CLI, and unreduced numerator/denominator pairs
 (RationalExpr) for fraction-field work.
 
+Laurent monomials are units, and units cost nothing: a product with a
+one-term factor and an exact division by a one-term divisor are shifts,
+and RationalExpr never forms a product with 1 or divides by a
+denominator equal to 1.
+
 Term order is lexicographic on exponent tuples throughout; the canonical
 rendering lists terms in descending lex order.
 """
@@ -96,7 +101,12 @@ class LaurentPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.n: self.field.one}
+        terms = self.terms
+        if len(terms) != 1:
+            return False
+        for e in terms:
+            # the one of QQ and the one of GF(p) both equal 1
+            return e.count(0) == len(e) and terms[e] == 1
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -187,20 +197,6 @@ class LaurentPoly:
                                   budgets.raw_allowance())
         return LaurentPoly(self.field, self.n, terms)
 
-    def scale(self, coeff) -> "LaurentPoly":
-        c = self.field.coerce(coeff)
-        if not c:
-            return LaurentPoly.zero(self.field, self.n)
-        terms = kernels.scale_shift_terms(self.terms, (0,) * self.n, c,
-                                          self.field.char)
-        return LaurentPoly(self.field, self.n, terms)
-
-    def shift(self, exps) -> "LaurentPoly":
-        """Multiply by the monomial x^exps."""
-        terms = kernels.scale_shift_terms(self.terms, tuple(exps),
-                                          self.field.one, self.field.char)
-        return LaurentPoly(self.field, self.n, terms)
-
     def inverse(self) -> "LaurentPoly":
         """Inverse of a monomial; anything else has no Laurent inverse."""
         if len(self.terms) != 1:
@@ -230,20 +226,66 @@ class LaurentPoly:
     def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor, or NotDivisibleError.
 
-        Classical descending division: repeatedly cancel the lex-leading
-        remainder term against the divisor's leading term.  Because
-        componentwise support extremes are additive under multiplication,
-        every true quotient term lies in the box
-        [min(self)-min(divisor), max(self)-max(divisor)]; a candidate
-        outside that box disproves divisibility immediately, and the box
-        also bounds the number of steps.  The configured term and step
-        budgets remain as backstops.
+        A one-term divisor c*x^e is a unit: the quotient is self shifted
+        by -e and scaled by 1/c (`_divide_by_monomial`).  Any other
+        divisor goes through descending cancellation
+        (`_divide_by_cancellation`).
         """
         self._compat(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("exact division by the zero polynomial")
         if self.is_zero():
             return self
+        if len(divisor.terms) == 1:
+            return self._divide_by_monomial(divisor)
+        return self._divide_by_cancellation(divisor)
+
+    def _divide_by_monomial(self, divisor: "LaurentPoly") -> "LaurentPoly":
+        """self / c*x^e as one shift by -e, scaled by 1/c.
+
+        The budgets are charged as `_divide_by_cancellation` charges
+        them: one step and one raw product per quotient term, with
+        len(self) - s remainder terms left after step s.  So that loop
+        stops at the first step past the raw allowance or the step
+        budget (checked in that order), or at step 1 when the remainder
+        left then is already too big.  Unlike the loop, the shift also
+        range-checks the quotient's exponents."""
+        field = self.field
+        (eb, cb), = divisor.terms.items()
+        bres = budgets.current()
+        raw = budgets.raw_allowance()
+        left, size = raw[0], len(self.terms)
+        if size - 1 > bres.max_terms:
+            step = 1
+        else:
+            step = min(left, bres.max_division_steps) + 1
+        if step <= size:
+            if step > left:
+                raw[0] = 0
+                raise BudgetExceededError(
+                    "max_raw_products", "division work exhausted the raw "
+                    "term-product allowance")
+            raw[0] = left - step
+            if step > bres.max_division_steps:
+                raise BudgetExceededError(
+                    "max_division_steps", f"after {step} cancellations")
+            raise BudgetExceededError(
+                "max_terms", "division remainder grew past the budget")
+        quotient = kernels.scale_shift_terms(
+            self.terms, tuple(-x for x in eb), field.invert(cb), field.char)
+        raw[0] = left - size
+        return LaurentPoly(field, self.n, quotient)
+
+    def _divide_by_cancellation(self, divisor: "LaurentPoly"
+                                ) -> "LaurentPoly":
+        """Classical descending division of nonzero polynomials:
+        repeatedly cancel the lex-leading remainder term against the
+        divisor's leading term.  Because componentwise support extremes
+        are additive under multiplication, every true quotient term lies
+        in the box [min(self)-min(divisor), max(self)-max(divisor)]; a
+        candidate outside that box disproves divisibility immediately,
+        and the box also bounds the number of steps.  The configured
+        term and step budgets remain as backstops."""
         field = self.field
         p = field.char
         lo_a, hi_a = self.support_box()
@@ -504,9 +546,8 @@ class RationalExpr:
 
     def equals(self, other: "RationalExpr") -> bool:
         """Exact equality as fraction-field elements (cross-multiplication)."""
-        if not isinstance(other, RationalExpr):
-            other = RationalExpr(other)
-        return self.num * other.den == other.num * self.den
+        o = self._coerce(other)
+        return _times(self.num, o.den) == _times(o.num, self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
@@ -522,34 +563,36 @@ class RationalExpr:
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other) -> "RationalExpr":
-        if isinstance(other, RationalExpr):
-            return other
+        """`other` as a RationalExpr in the same ring as self."""
         if isinstance(other, LaurentPoly):
-            return RationalExpr(other)
-        raise TypeError(f"cannot combine RationalExpr with {other!r}")
+            other = RationalExpr(other)
+        elif not isinstance(other, RationalExpr):
+            raise TypeError(f"cannot combine RationalExpr with {other!r}")
+        self.num._compat(other.num)
+        return other
 
     def __add__(self, other):
         o = self._coerce(other)
-        return RationalExpr(self.num * o.den + o.num * self.den,
-                            self.den * o.den)
+        return RationalExpr(_times(self.num, o.den) + _times(o.num, self.den),
+                            _times(self.den, o.den))
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return RationalExpr(self.num * o.den - o.num * self.den,
-                            self.den * o.den)
+        return RationalExpr(_times(self.num, o.den) - _times(o.num, self.den),
+                            _times(self.den, o.den))
 
     def __neg__(self):
         return RationalExpr(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return RationalExpr(self.num * o.num, self.den * o.den)
+        return RationalExpr(_times(self.num, o.num), _times(self.den, o.den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero rational expression")
-        return RationalExpr(self.num * o.den, self.den * o.num)
+        return RationalExpr(_times(self.num, o.den), _times(self.den, o.num))
 
     def __pow__(self, k: int) -> "RationalExpr":
         if not isinstance(k, int):
@@ -557,19 +600,23 @@ class RationalExpr:
         if k < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RationalExpr(self.den ** (-k), self.num ** (-k))
-        return RationalExpr(self.num ** k, self.den ** k)
+            return RationalExpr(_power(self.den, -k), _power(self.num, -k))
+        return RationalExpr(_power(self.num, k), _power(self.den, k))
 
     # -- conversion ----------------------------------------------------------
 
     def as_laurent(self) -> LaurentPoly:
         """The Laurent polynomial this fraction equals, found by one exact
         division; NotDivisibleError when there is none."""
+        if self.den.is_one():
+            return self.num
         return self.num.exact_divide(self.den)
 
     def simplify(self) -> "RationalExpr":
         """Collapse to denominator 1 when the division happens to be exact;
         otherwise return self unchanged."""
+        if self.den.is_one():
+            return self
         try:
             return RationalExpr(self.as_laurent())
         except NotDivisibleError:
@@ -582,3 +629,18 @@ class RationalExpr:
 
     def __repr__(self):
         return f"RationalExpr({self.render()!r})"
+
+
+def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b for polynomials of one ring, without a product when either
+    factor is 1."""
+    if b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * b
+
+
+def _power(a: LaurentPoly, k: int) -> LaurentPoly:
+    """a ** k for k >= 0, without powering when a is 1."""
+    return a if a.is_one() else a ** k

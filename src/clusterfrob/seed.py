@@ -244,30 +244,37 @@ def cluster_substitution(seed: Seed, path) -> list[RationalExpr]:
     return subs
 
 
-def _eval_poly(f: LaurentPoly, subs: list[RationalExpr]) -> RationalExpr:
+def _is_identity(s: RationalExpr, i: int) -> bool:
+    """Whether s is the variable x_i over denominator 1, read off its
+    terms."""
+    terms = s.num.terms
+    if len(terms) != 1 or not s.den.is_one():
+        return False
+    for e in terms:
+        return e[i] == 1 and e.count(0) == len(e) - 1 and terms[e] == 1
+
+
+def _eval_poly(f: LaurentPoly, subs: list[RationalExpr],
+               identity: list[bool]) -> RationalExpr:
+    """f with x_i replaced by subs[i], except where identity[i] says that
+    subs[i] is x_i itself: those exponents pass through unchanged."""
     fld, n = f.field, f.n
-    identity = [s.den.is_one() and s.num == LaurentPoly.variable(fld, n, i)
-                for i, s in enumerate(subs)]
-    total = RationalExpr(LaurentPoly.zero(fld, n))
+    total = None
     cache: dict[tuple[int, int], RationalExpr] = {}
     for e, c in f.terms.items():
-        passthrough = [0] * n
-        term = RationalExpr(LaurentPoly.constant(fld, n, c))
+        passthrough = tuple(a if identity[i] else 0 for i, a in enumerate(e))
+        term = RationalExpr(LaurentPoly(fld, n, {passthrough: c}))
         for i, a in enumerate(e):
-            if a == 0:
-                continue
-            if identity[i]:
-                passthrough[i] = a
+            if a == 0 or identity[i]:
                 continue
             key = (i, a)
             power = cache.get(key)
             if power is None:
                 power = cache[key] = subs[i] ** a
             term = term * power
-        if any(passthrough):
-            term = term * RationalExpr(
-                LaurentPoly.monomial(fld, n, passthrough))
-        total = total + term
+        total = term if total is None else total + term
+    if total is None:
+        return RationalExpr(LaurentPoly.zero(fld, n))
     return total
 
 
@@ -275,7 +282,14 @@ def express_rational(g: RationalExpr | LaurentPoly,
                      subs: list[RationalExpr]) -> RationalExpr:
     if isinstance(g, LaurentPoly):
         g = RationalExpr.from_laurent(g)
-    return _eval_poly(g.num, subs) / _eval_poly(g.den, subs)
+    identity = []
+    for i, s in enumerate(subs):
+        g.num._compat(s.num)  # identity entries take part in no product
+        identity.append(_is_identity(s, i))
+    num = _eval_poly(g.num, subs, identity)
+    if g.den.is_one():
+        return num
+    return num / _eval_poly(g.den, subs, identity)
 
 
 def express_in_cluster(g: RationalExpr | LaurentPoly, seed: Seed,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, NotAcyclicError, LaurentPoly, RationalExpr,
-                         SplittingMap, corpus, freg_witness_sink,
+from clusterfrob import (GF, FieldMismatchError, LaurentPoly, NotAcyclicError,
+                         RationalExpr, SplittingMap, corpus, freg_witness_sink,
                          hom_generator, initial_seed, iterate_split,
                          split_apply, splitting_invariance_check,
                          standard_split, verify_test_element)
@@ -94,6 +94,12 @@ def test_split_apply_accepts_plain_polynomials():
     f = lp(GF(2), 1, [((2,), 1), ((1,), 1)])
     assert split_apply(m, f).equals(
         RationalExpr.from_laurent(LaurentPoly.variable(GF(2), 1, 0)))
+
+
+def test_split_apply_standard_twist_checks_arity():
+    m = SplittingMap.standard(3, 1, 2)
+    with pytest.raises(FieldMismatchError):
+        split_apply(m, LaurentPoly.variable(GF(3), 3, 0))
 
 
 def test_iterate_split_matches_single_rounds():

@@ -156,6 +156,75 @@ def test_mul_split_overflow_guard():
         kernels.mul_split_terms(a, a, 5, 5, 0, 10**6, fresh())
 
 
+# -- one-term factors: the shift path ---------------------------------------
+
+
+def schoolbook(a, b, p):
+    """Every pair multiplied and summed in a plain dict."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    if p:
+        out = {e: c % p for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def shift_cases(draw):
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-9, max_value=9)] * nvars)
+    if p:
+        coeffs = st.integers(min_value=1, max_value=p - 1)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9,
+                              max_denominator=5).filter(bool)
+    a = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=1))
+    b = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=20))
+    return p, a, b
+
+
+@given(shift_cases())
+def test_mul_one_term_factor_matches_schoolbook(case):
+    p, a, b = case
+    want = schoolbook(a, b, p)
+    for x, y in ((a, b), (b, a)):
+        allowance = [len(b) + 7]
+        assert kernels.mul_terms(x, y, p, 10**6, allowance) == want
+        assert allowance[0] == 7
+
+
+@given(shift_cases())
+def test_mul_one_term_factor_budgets_match_general_row(case):
+    # the general product charges a row before forming it and checks the
+    # merged size after it; a one-term factor is a single row of len(b)
+    p, a, b = case
+    allowance = [len(b) - 1]
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_terms(b, a, p, 10**6, allowance)
+    assert err.value.budget == "max_raw_products"
+    assert allowance[0] == 0
+    allowance = [len(b) + 3]
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_terms(a, b, p, len(b) - 1, allowance)
+    assert err.value.budget == "max_terms"
+    assert allowance[0] == 3
+    assert len(kernels.mul_terms(a, b, p, len(b), fresh())) == len(b)
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_mul_one_term_factor_overflow_guard(p):
+    a = {(2**62,): one(p)}
+    b = {(0,): one(p), (2**62,): one(p)}
+    for x, y in ((a, b), (b, a)):
+        allowance = [10]
+        with pytest.raises(OverflowError):
+            kernels.mul_terms(x, y, p, 10**6, allowance)
+        assert allowance[0] == 10  # as in the general row: nothing charged
+
+
 def test_scale_shift():
     a = {(1, 1): 3, (0, 2): 4}
     out = kernels.scale_shift_terms(a, (2, -1), 2, 7)

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, QQ, FieldMismatchError, LaurentPoly,
-                         NotDivisibleError, RationalExpr, budgets,
-                         parse_laurent)
+from clusterfrob import (GF, QQ, BudgetExceededError, FieldMismatchError,
+                         LaurentPoly, NotDivisibleError, RationalExpr,
+                         budgets, parse_laurent)
 
 
 def oracle_mul(a_terms, b_terms, char):
@@ -178,6 +178,51 @@ def test_divide_laurent_units():
     num = LaurentPoly.monomial(QQ, 1, (-5,), 7)
     den = LaurentPoly.monomial(QQ, 1, (-3,), 2)
     assert num.exact_divide(den).terms == {(-2,): Fraction(7, 2)}
+
+
+def budget_outcome(divide, limits, raw):
+    """((quotient terms, "") or (budget that ran out, message), raw left)
+    of one division under the given budgets and raw meter."""
+    with budgets.limits(**limits), budgets.raw_meter(raw) as meter:
+        try:
+            got = divide().terms, ""
+        except BudgetExceededError as exc:
+            got = exc.budget, str(exc)
+        return got, meter[0]
+
+
+@st.composite
+def monomial_divisions(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-6, max_value=6)] * nvars)
+    if field.char:
+        coeffs = st.integers(min_value=1, max_value=field.char - 1)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9,
+                              max_denominator=5).filter(bool)
+    num = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=12))
+    e, c = draw(exps), draw(coeffs)
+    limits = {"max_division_steps": draw(st.integers(0, 14)),
+              "max_terms": draw(st.integers(0, 14))}
+    raw = draw(st.integers(0, 14))
+    return (LaurentPoly.from_terms(field, nvars, num),
+            LaurentPoly.monomial(field, nvars, e, c), limits, raw)
+
+
+@given(monomial_divisions())
+def test_divide_by_monomial_matches_cancellation_loop(case):
+    num, mono, limits, raw = case
+    shift = budget_outcome(lambda: num.exact_divide(mono), limits, raw)
+    loop = budget_outcome(lambda: num._divide_by_cancellation(mono),
+                          limits, raw)
+    assert shift == loop
+
+
+def test_divide_by_monomial_guards_quotient_exponents():
+    big = LaurentPoly.monomial(QQ, 1, (2**63 - 1,))
+    with pytest.raises(OverflowError):
+        big.exact_divide(LaurentPoly.monomial(QQ, 1, (-1,)))
 
 
 def test_divides_predicate():
@@ -421,6 +466,84 @@ def test_rational_roundtrip(a, b):
     r = RationalExpr(a * b, b)
     assert r.equals(RationalExpr.from_laurent(a))
     assert r.as_laurent() == a
+
+
+def oracle_add(a_terms, b_terms, char, sign=1):
+    out = dict(a_terms)
+    for e, c in b_terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    if char:
+        out = {e: c % char for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_pow(terms, k, n, char):
+    out = {(0,) * n: 1}
+    for _ in range(k):
+        out = oracle_mul(out, terms, char)
+    return out
+
+
+def pairs(field, n):
+    """(num, den) term pairs; either side is often exactly 1."""
+    one = LaurentPoly.one(field, n)
+    nums = st.one_of(st.just(one), polys(field, n, 4))
+    dens = st.one_of(st.just(one),
+                     polys(field, n, 4).filter(lambda f: not f.is_zero()))
+    return st.tuples(nums, dens).map(lambda nd: RationalExpr(*nd))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@given(data=st.data())
+def test_rational_ops_match_cross_multiplication(field, data):
+    p = field.char
+    r = data.draw(pairs(field, 2))
+    s = data.draw(pairs(field, 2))
+    k = data.draw(st.integers(min_value=-3, max_value=3))
+    rn, rd, sn, sd = r.num.terms, r.den.terms, s.num.terms, s.den.terms
+    cases = [
+        (r + s, oracle_add(oracle_mul(rn, sd, p), oracle_mul(sn, rd, p), p),
+         oracle_mul(rd, sd, p)),
+        (r - s, oracle_add(oracle_mul(rn, sd, p), oracle_mul(sn, rd, p), p,
+                           -1), oracle_mul(rd, sd, p)),
+        (r * s, oracle_mul(rn, sn, p), oracle_mul(rd, sd, p)),
+    ]
+    if sn:
+        cases.append((r / s, oracle_mul(rn, sd, p), oracle_mul(rd, sn, p)))
+    if k >= 0:
+        cases.append((r ** k, oracle_pow(rn, k, 2, p),
+                      oracle_pow(rd, k, 2, p)))
+    elif rn:
+        cases.append((r ** k, oracle_pow(rd, -k, 2, p),
+                      oracle_pow(rn, -k, 2, p)))
+    for got, num, den in cases:
+        assert (got.num.terms, got.den.terms) == (num, den)
+    assert r.equals(s) == (oracle_mul(rn, sd, p) == oracle_mul(sn, rd, p))
+    try:
+        quotient = r.num.exact_divide(r.den)
+    except NotDivisibleError:
+        with pytest.raises(NotDivisibleError):
+            r.as_laurent()
+        assert r.simplify() is r
+    else:
+        assert r.as_laurent().terms == quotient.terms
+        simple = r.simplify()
+        assert (simple.num.terms, simple.den.is_one()) == (quotient.terms,
+                                                           True)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "equals"])
+@pytest.mark.parametrize("other", [GF(5), 3], ids=["field", "arity"])
+def test_rational_mismatch_with_one_operand(op, other):
+    field, n = (other, 2) if other == GF(5) else (QQ, other)
+    one = RationalExpr(LaurentPoly.one(QQ, 2))
+    x = RationalExpr(LaurentPoly.variable(field, n, 0))
+    apply = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+             "mul": lambda a, b: a * b, "div": lambda a, b: a / b,
+             "equals": lambda a, b: a.equals(b)}[op]
+    for a, b in ((one, x), (x, one)):
+        with pytest.raises(FieldMismatchError):
+            apply(a, b)
 
 
 def test_coordinate_sums():

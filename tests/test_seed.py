@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, QQ, LaurentPoly, NotLaurentError, Quiver, Seed,
-                         budgets, cluster_substitution, corpus, explore,
+from clusterfrob import (GF, QQ, FieldMismatchError, LaurentPoly,
+                         NotLaurentError, Quiver, Seed, budgets,
+                         cluster_substitution, corpus, explore,
                          express_in_cluster, express_rational, initial_seed,
                          upper_membership_sample)
 
@@ -285,6 +286,16 @@ def test_express_rational_identity():
     subs = cluster_substitution(s, ())
     g = lp(QQ, 2, [((2, -1), 1), ((0, 0), 5)])
     assert express_rational(g, subs).as_laurent() == g
+
+
+def test_express_rational_identity_subs_keep_ring_checks():
+    # identity entries pass exponents through without a product, so the
+    # ring of each entry is checked on its own
+    g = lp(QQ, 2, [((2, -1), 1), ((0, 0), 5)])
+    for subs in (cluster_substitution(seed_for("a2", GF(5)), ()),
+                 cluster_substitution(seed_for("a3"), ())[:2]):
+        with pytest.raises(FieldMismatchError):
+            express_rational(g, subs)
 
 
 def test_markov_invariant_element():
