@@ -1,14 +1,21 @@
-"""Process-wide resource budgets.
+"""Resource budgets, per context.
 
 Every potentially explosive routine (polynomial products, exact division,
 seed exploration, the f^(p-1) expansion) checks the active budget set and
 raises BudgetExceededError instead of thrashing.  Budgets are plain data;
 `limits(...)` temporarily overrides fields for a with-block.
+
+The active budgets and the active raw meter live in one ContextVar, so a
+with-block is seen only by the code it encloses: an asyncio task sees its
+own blocks and not a sibling's, and threads never see each other's.  A
+new thread starts with the default `Budgets()` and no meter unless it is
+run under `contextvars.copy_context().run`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 
@@ -20,50 +27,58 @@ class Budgets:
     max_raw_products: int = 10**7   # raw term-products per metered region
 
 
-_current = Budgets()
-
-# Cumulative raw-product meter.  Term counts alone cannot bound running
-# time: polynomials supported on a line keep merging products into few
-# terms while the raw pairwise work grows quadratically.  The kernels
-# charge every exponent-pair they touch against an allowance; outside any
-# raw_meter() block each kernel call gets a fresh allowance of
-# max_raw_products, inside one the whole block shares a single allowance.
-_raw_active: list | None = None
+# (active budgets, active raw meter or None).  Term counts alone cannot
+# bound running time: polynomials supported on a line keep merging
+# products into few terms while the raw pairwise work grows
+# quadratically.  The kernels charge every exponent-pair they touch
+# against an allowance, a one-element list; outside any raw_meter() block
+# each kernel call gets a fresh allowance of max_raw_products, inside one
+# the whole block shares the meter.
+_active: ContextVar[tuple[Budgets, list | None]] = ContextVar(
+    "clusterfrob_budgets", default=(Budgets(), None))
 
 
 @contextmanager
 def raw_meter(limit: int | None = None):
     """Share one cumulative raw-product allowance across every kernel
-    call in the block (default: the current max_raw_products)."""
-    global _raw_active
-    if limit is None:
-        limit = current().max_raw_products
-    saved = _raw_active
-    _raw_active = [int(limit)]
+    call in the block (default: the current max_raw_products).
+
+    Inside another meter the block starts with the smaller of `limit` and
+    what the enclosing meter has left, and on exit, normal or not, the
+    enclosing meter is charged what the block used."""
+    bres, outer = _active.get()
+    start = bres.max_raw_products if limit is None else int(limit)
+    if outer is not None:
+        start = min(start, outer[0])
+    meter = [start]
+    token = _active.set((bres, meter))
     try:
-        yield _raw_active
+        yield meter
     finally:
-        _raw_active = saved
+        _active.reset(token)
+        if outer is not None:
+            outer[0] -= start - meter[0]
 
 
 def raw_allowance() -> list:
     """The active cumulative meter, or a fresh single-call allowance."""
-    if _raw_active is not None:
-        return _raw_active
-    return [current().max_raw_products]
+    bres, meter = _active.get()
+    if meter is not None:
+        return meter
+    return [bres.max_raw_products]
 
 
 def current() -> Budgets:
-    return _current
+    return _active.get()[0]
 
 
 @contextmanager
 def limits(**overrides):
     """Temporarily override selected budget fields."""
-    global _current
-    before = _current
-    _current = replace(before, **overrides)
+    bres, meter = _active.get()
+    bres = replace(bres, **overrides)
+    token = _active.set((bres, meter))
     try:
-        yield _current
+        yield bres
     finally:
-        _current = before
+        _active.reset(token)

@@ -238,14 +238,7 @@ def freg_witness_sink(seed: Seed, p: int) -> SinkWitness:
     _require_prime_field(seed.vars[0], p)
     fld, n = seed.field, seed.n
     k = quiver.find_sink()
-    plus_exp = [0] * n
-    minus_exp = [0] * n
-    for j in range(n):
-        mlt = quiver.b[j][k]
-        if mlt > 0:
-            plus_exp[j] = mlt
-        elif mlt < 0:
-            minus_exp[j] = -mlt
+    plus_exp, minus_exp = quiver.exchange_exponents(k)
     largest = max(max(plus_exp), max(minus_exp))
     e = 1
     while p ** e <= largest:

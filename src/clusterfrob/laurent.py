@@ -211,14 +211,16 @@ class LaurentPoly:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        result = LaurentPoly.one(self.field, self.n)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
+        if result is None:
+            return LaurentPoly.one(self.field, self.n)
         return result
 
     # -- exact division -----------------------------------------------------
@@ -296,6 +298,7 @@ class LaurentPoly:
             raise NotDivisibleError("no quotient: empty support box")
 
         eb, cb = divisor.leading_term()
+        neg_eb = tuple(-x for x in eb)
         cb_inv = field.invert(cb)
         bres = budgets.current()
         raw = budgets.raw_allowance()
@@ -314,7 +317,7 @@ class LaurentPoly:
                 cr = rem.get(er)
                 if cr is not None:
                     break
-            et = tuple(er[i] - eb[i] for i in range(self.n))
+            et = kernels._checked_add(er, neg_eb)  # range guard, as in shifts
             if any(not lo[i] <= et[i] <= hi[i] for i in range(self.n)):
                 raise NotDivisibleError(
                     "no quotient: leading term leaves the support box")

@@ -15,8 +15,9 @@ congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 psi never forms the whole product f^(p-1) * r: the fused kernel
 `kernels.mul_split_terms` pairs each term of f^(p-1) only with the terms
 of r that complete it to the kept residue class.  f^(p-1) itself is built
-once per presentation by plain products.  Both run under the
-max_raw_products budget.
+once per presentation by plain products.  Both run in one
+`budgets.raw_meter()` block, so they share one max_raw_products
+allowance, and inside an enclosing meter they draw on what it has left.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import budgets, kernels
-from .errors import BudgetExceededError, FieldMismatchError, NotDivisibleError
+from .errors import FieldMismatchError, NotDivisibleError
 from .fields import GF, same_field
 from .laurent import LaurentPoly, RationalExpr
 from .seed import Seed
@@ -76,24 +77,15 @@ def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
     gens = []
     exchange = []
     xprime = []
+    pad = (0,) * n
     for i in range(n):
-        plus = [0] * nn
-        minus = [0] * nn
-        plus_small = [0] * n
-        minus_small = [0] * n
-        for j in range(n):
-            m = seed.quiver.b[j][i]
-            if m > 0:
-                plus[j] = m
-                plus_small[j] = m
-            elif m < 0:
-                minus[j] = -m
-                minus_small[j] = -m
+        plus_small, minus_small = seed.quiver.exchange_exponents(i)
+        plus, minus = plus_small + pad, minus_small + pad
         xy = [0] * nn
         xy[i] = 1
         xy[n + i] = 1
         g = LaurentPoly.from_terms(fld, nn, [
-            (tuple(xy), 1), (tuple(plus), -1), (tuple(minus), -1)])
+            (tuple(xy), 1), (plus, -1), (minus, -1)])
         gens.append(g)
         p_plus = LaurentPoly.monomial(fld, nn, plus)
         p_minus = LaurentPoly.monomial(fld, nn, minus)
@@ -101,58 +93,23 @@ def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
         small = (LaurentPoly.monomial(fld, n, plus_small)
                  + LaurentPoly.monomial(fld, n, minus_small))
         xprime.append(small * LaurentPoly.variable(fld, n, i).inverse())
-    f = LaurentPoly.one(fld, nn)
-    for g in gens:
+    f = gens[0]
+    for g in gens[1:]:
         f = f * g
     return LowerBoundPresentation(seed, tuple(gens), f, tuple(exchange),
                                   tuple(xprime))
 
 
-class _ProductMeter:
-    """Raw term-product counter shared by one psi evaluation."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def mul(self, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-        self.used += len(a.terms) * len(b.terms)
-        if self.used > self.limit:
-            raise BudgetExceededError(
-                "max_raw_products",
-                f"psi expansion needs more than {self.limit} term-products")
-        return a * b
-
-    def mul_split(self, a: LaurentPoly, b: LaurentPoly,
-                  p: int) -> LaurentPoly:
-        """The basis split of (a * b)^(1/p), forming only the pairs it
-        keeps.  The kernel runs on the smaller of what is left of this
-        meter and of the enclosing raw allowance, and its work is charged
-        to both."""
-        outer = budgets.raw_allowance()
-        allowance = [min(outer[0], self.limit - self.used)]
-        start = allowance[0]
-        try:
-            terms = kernels.mul_split_terms(
-                a.terms, b.terms, p, p, p - 1,
-                budgets.current().max_terms, allowance)
-        finally:
-            used = start - allowance[0]
-            self.used += used
-            outer[0] -= used
-        return LaurentPoly(b.field, b.n, terms)
-
-
-def _f_power(pres: LowerBoundPresentation, exponent: int,
-             meter: _ProductMeter) -> LaurentPoly:
-    """f^exponent, factor by factor, cached on the presentation."""
+def _f_power(pres: LowerBoundPresentation, exponent: int) -> LaurentPoly:
+    """f^exponent for exponent >= 1, factor by factor, cached on the
+    presentation."""
     cached = pres._fpow.get(exponent)
     if cached is not None:
         return cached
-    out = LaurentPoly.one(pres.field, 2 * pres.n)
-    for _ in range(exponent):
+    out = pres.f
+    for _ in range(exponent - 1):
         for g in pres.gens:
-            out = meter.mul(out, g)
+            out = out * g
     pres._fpow[exponent] = out
     return out
 
@@ -172,8 +129,11 @@ def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
     if any(a < 0 for e in r.terms for a in e):
         raise ValueError("psi arguments live in the polynomial ring; "
                          "negative exponents are not allowed")
-    meter = _ProductMeter(budgets.current().max_raw_products)
-    return meter.mul_split(_f_power(pres, p - 1, meter), r, p)
+    with budgets.raw_meter() as raw:
+        terms = kernels.mul_split_terms(
+            _f_power(pres, p - 1).terms, r.terms, p, p, p - 1,
+            budgets.current().max_terms, raw)
+    return LaurentPoly(r.field, r.n, terms)
 
 
 def verify_lb_splitting(pres: LowerBoundPresentation, p: int) -> bool:

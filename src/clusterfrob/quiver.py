@@ -69,6 +69,17 @@ class Quiver:
                     out.append((i, j, self.b[i][j]))
         return out
 
+    def exchange_exponents(self, k: int
+                           ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(plus, minus) read off column k of B: plus[j] = m for the m
+        arrows j -> k, minus[j] = m for the m arrows k -> j.  Frozen k is
+        allowed."""
+        if not 0 <= k < self.n:
+            raise IndexError(f"vertex {k} out of range")
+        col = [row[k] for row in self.b]
+        return (tuple(m if m > 0 else 0 for m in col),
+                tuple(-m if m < 0 else 0 for m in col))
+
     # -- mutation -------------------------------------------------------------
 
     def mutate(self, k: int) -> "Quiver":

@@ -59,20 +59,18 @@ class Seed:
     def exchange_monomials(self, k: int) -> tuple[LaurentPoly, LaurentPoly]:
         """(p_plus, p_minus) at vertex k in the current seed: the product of
         vars[j]^m over the m arrows j->k, resp. over the m arrows k->j."""
-        if not 0 <= k < self.n:
-            raise IndexError(f"vertex {k} out of range")
         if k in self.quiver.frozen:
             raise MutationAtFrozenError(f"vertex {k} is frozen")
-        b = self.quiver.b
-        plus = LaurentPoly.one(self.field, self.n)
-        minus = LaurentPoly.one(self.field, self.n)
-        for j in range(self.n):
-            m = b[j][k]
-            if m > 0:
-                plus = plus * self.vars[j] ** m
-            elif m < 0:
-                minus = minus * self.vars[j] ** (-m)
-        return plus, minus
+        plus, minus = self.quiver.exchange_exponents(k)
+        return self._power_product(plus), self._power_product(minus)
+
+    def _power_product(self, exps) -> LaurentPoly:
+        """The product of vars[j]^exps[j], starting from its first factor."""
+        out = None
+        for v, m in zip(self.vars, exps):
+            if m:
+                out = v ** m if out is None else out * v ** m
+        return LaurentPoly.one(self.field, self.n) if out is None else out
 
     # -- mutation -------------------------------------------------------------
 
@@ -183,15 +181,7 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
 def _exchange_sum_symbolic(quiver: Quiver, k: int, fld, n: int) -> LaurentPoly:
     """p_plus + p_minus at k with the current cluster read as fresh symbols
     z_1..z_n; a Laurent polynomial not involving z_k."""
-    b = quiver.b
-    plus = [0] * n
-    minus = [0] * n
-    for j in range(n):
-        m = b[j][k]
-        if m > 0:
-            plus[j] = m
-        elif m < 0:
-            minus[j] = -m
+    plus, minus = quiver.exchange_exponents(k)
     return (LaurentPoly.monomial(fld, n, plus)
             + LaurentPoly.monomial(fld, n, minus))
 

@@ -237,6 +237,15 @@ def test_exponent_out_of_range_is_usage_error(capsys):
     assert err.startswith("error: exponent outside 64-bit range")
 
 
+def test_quotient_exponent_out_of_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "div",
+                         "--lhs", f"x1^{2**63 - 1} + x1^{2**63 - 2}",
+                         "--rhs", "x1^-1 + x1^-2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent outside 64-bit range")
+
+
 def test_composite_prime_rejected(capsys):
     code, _, err = run(capsys, "split", "--vars", "1", "--prime", "4",
                        "--num", "x1^4")

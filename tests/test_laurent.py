@@ -225,6 +225,16 @@ def test_divide_by_monomial_guards_quotient_exponents():
         big.exact_divide(LaurentPoly.monomial(QQ, 1, (-1,)))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_divide_by_cancellation_guards_quotient_exponents(field):
+    # the true quotient x1^(2^63) has its one exponent out of range,
+    # although every divisor-term product it forms stays in range
+    num = LaurentPoly.from_terms(field, 1, {(2**63 - 1,): 1, (2**63 - 2,): 1})
+    den = LaurentPoly.from_terms(field, 1, {(-1,): 1, (-2,): 1})
+    with pytest.raises(OverflowError):
+        num.exact_divide(den)
+
+
 def test_divides_predicate():
     num = lp(QQ, 2, [((2, 0), 1), ((0, 2), -1)])
     den = lp(QQ, 2, [((1, 0), 1), ((0, 1), -1)])

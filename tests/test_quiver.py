@@ -61,6 +61,15 @@ def test_arrows_listing():
     assert q.arrows() == [(0, 1, 2), (2, 0, 1)]
 
 
+def test_exchange_exponents_read_column_k():
+    # 1 -2-> 2, 3 -> 1; vertex 2 is frozen and still readable
+    q = quiver([[0, 2, -1], [-2, 0, 0], [1, 0, 0]], frozen={1})
+    assert q.exchange_exponents(0) == ((0, 0, 1), (0, 2, 0))
+    assert q.exchange_exponents(1) == ((2, 0, 0), (0, 0, 0))
+    with pytest.raises(IndexError):
+        q.exchange_exponents(3)
+
+
 # -- mutation ------------------------------------------------------------------
 
 
