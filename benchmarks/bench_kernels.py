@@ -1,4 +1,4 @@
-"""Time the arithmetic kernels and three library workloads.
+"""Time the arithmetic kernels and four library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
@@ -145,6 +145,12 @@ MACRO_SNIPPETS = {
         "seed = initial_seed(corpus.load('a3'), GF(5))\n"
         "pres = lower_bound_generators(seed)\n"
         "assert compat_check(pres, 5, degree_bounded_monomials(6, 2)).ok\n"),
+    "markov membership a=3 depth 3": (
+        "from clusterfrob.fields import QQ\n"
+        "from clusterfrob.seed import upper_membership_sample\n"
+        "from clusterfrob.showcase import markov_M, markov_seed\n"
+        "m = markov_M(3, QQ)\n"
+        "assert upper_membership_sample(m, markov_seed(3, QQ), 3).ok\n"),
 }
 
 

@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=2)
     sp.add_argument("--prime", type=int, default=None)
     sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--depth", type=int, default=None)
+    sp.add_argument("--depth", type=nonnegative_int, default=None)
     sp.add_argument("--check", required=True,
                     choices=["relation", "grading", "membership", "freg",
                              "obstruction"])
@@ -485,7 +485,8 @@ def main(argv=None) -> int:
         _stderr_time(started)
         return MATH_EXIT
     except (QuiverFormatError, BudgetExceededError, MutationAtFrozenError,
-            argparse.ArgumentTypeError, ValueError, OverflowError) as exc:
+            argparse.ArgumentTypeError, ValueError, OverflowError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _stderr_time(started)
         return USAGE_EXIT

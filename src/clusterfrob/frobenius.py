@@ -169,7 +169,7 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
     fld, n = seed.field, seed.n
     mutated = seed.mutate(k)
     m = SplittingMap.standard(p, 1, n)
-    subs = cluster_substitution(seed, (k,))
+    steps = cluster_substitution(seed, (k,))
     power_cache: dict[tuple[int, int], RationalExpr] = {}
 
     def var_power(i: int, a: int) -> RationalExpr:
@@ -191,7 +191,7 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
             if a:
                 expr = expr * var_power(i, a)
         image = split_apply(m, expr)  # in the initial cluster
-        moved = express_rational(image, subs)
+        moved = express_rational(image, steps)
         if all(a % p == 0 for a in alpha):
             expected = LaurentPoly.monomial(
                 fld, n, tuple(a // p for a in alpha))

@@ -194,22 +194,19 @@ def degree_bounded_monomials(nvars: int, max_degree: int):
 
 def localization_identity_check(pres: LowerBoundPresentation) -> bool:
     """Substituting y_i = x_i' kills every generator g_i: the presentation
-    collapses onto the Laurent ring after inverting the cluster monomial."""
+    collapses onto the Laurent ring after inverting the cluster monomial.
+
+    The x_i' are Laurent polynomials, so the substitution stays in the
+    Laurent ring: each term is its x-monomial times powers of the x_j'."""
     fld, n = pres.field, pres.n
-    for i, g in enumerate(pres.gens):
-        total = RationalExpr(LaurentPoly.zero(fld, n))
+    for g in pres.gens:
+        total = None
         for exps, c in g.terms.items():
-            term = RationalExpr(LaurentPoly.constant(fld, n, c))
-            mono = [0] * n
-            for j in range(n):
-                if exps[j]:
-                    mono[j] = exps[j]
-            term = term * RationalExpr(LaurentPoly.monomial(fld, n, mono))
-            for j in range(n):
-                a = exps[n + j]
+            term = LaurentPoly.monomial(fld, n, exps[:n], c)
+            for xp, a in zip(pres.xprime, exps[n:]):
                 if a:
-                    term = term * RationalExpr(pres.xprime[j]) ** a
-            total = total + term
+                    term = term * xp ** a
+            total = term if total is None else total + term
         if not total.is_zero():
             return False
     return True

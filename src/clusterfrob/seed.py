@@ -5,18 +5,24 @@ Every cluster variable is stored as its Laurent expansion relative to the
 initial cluster, so mutation itself witnesses the Laurent phenomenon: the
 exchange division must come out exact at every step, and a failure is a bug
 (LaurentViolationError), never a property of the input.
+
+A change of cluster is a sequence of one-variable substitutions
+z_k -> N_k / z_k, one per mutation along the path (`cluster_substitution`
+returns them as steps (k, N_k)).  `express_rational` applies the steps to
+an element directly, so re-reading g in another cluster never forms the
+images of the initial variables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from . import budgets
 from .errors import (BudgetExceededError, LaurentViolationError,
                      MutationAtFrozenError, NotDivisibleError,
                      NotLaurentError)
 from .fields import require_same_field
-from .laurent import LaurentPoly, RationalExpr
+from .laurent import LaurentPoly, RationalExpr, _times
 from .quiver import Quiver
 
 
@@ -187,99 +193,64 @@ def _exchange_sum_symbolic(quiver: Quiver, k: int, fld, n: int) -> LaurentPoly:
 
 
 def _subst_reciprocal(f: LaurentPoly, k: int, numer: LaurentPoly
-                      ) -> tuple[LaurentPoly, LaurentPoly]:
-    """Substitute z_k -> numer / z_k in f; returns (num, den) with den a
-    power of numer.  `numer` must not involve z_k."""
-    if f.is_zero():
-        return f, LaurentPoly.one(f.field, f.n)
+                      ) -> tuple[LaurentPoly, int]:
+    """Substitute z_k -> numer / z_k in f: returns (g, shift) with the
+    result equal to g / numer**shift.  The terms are grouped by their
+    z_k-degree d, and group d is multiplied by numer**(d + shift) over the
+    common denominator.  `numer` must not involve z_k; an f that does not
+    involve z_k either comes back unchanged with shift 0."""
     degs = {e[k] for e in f.terms}
-    dmin = min(degs)
-    shift = -dmin if dmin < 0 else 0
-    powers = {d: numer ** (d + shift) for d in degs}
-    out = LaurentPoly.zero(f.field, f.n)
+    if not degs - {0}:
+        return f, 0
+    shift = max(0, -min(degs))
     grouped: dict[int, dict] = {d: {} for d in degs}
     for e, c in f.terms.items():
         e2 = list(e)
         e2[k] = -e[k]
         grouped[e[k]][tuple(e2)] = c
+    out = None
     for d, terms in grouped.items():
-        part = LaurentPoly(f.field, f.n, terms)
-        out = out + part * powers[d]
-    return out, numer ** shift
+        part = _times(LaurentPoly(f.field, f.n, terms), numer ** (d + shift))
+        out = part if out is None else out + part
+    return out, shift
 
 
-def _subst_reciprocal_rational(r: RationalExpr, k: int,
-                               numer: LaurentPoly) -> RationalExpr:
-    num, extra_den = _subst_reciprocal(r.num, k, numer)
-    den, extra_num = _subst_reciprocal(r.den, k, numer)
-    return RationalExpr(num * extra_num, den * extra_den)
+def cluster_substitution(seed: Seed, path) -> list[tuple[int, LaurentPoly]]:
+    """The change of cluster along `path` as its substitution steps.
 
-
-def cluster_substitution(seed: Seed, path) -> list[RationalExpr]:
-    """Expressions of the initial variables in the cluster reached by
-    `path`: entry i is x_i as a rational expression in fresh symbols
-    z_1..z_n naming that cluster.
-
-    Built step by step from the involution: after mutating at k, the old
-    k-th variable equals (p_plus + p_minus)/z_k computed in the *mutated*
-    quiver, so each step substitutes z_k -> N/z_k."""
-    fld = seed.field
-    n = seed.n
-    subs = [RationalExpr.variable(fld, n, i) for i in range(n)]
+    Step (k, N_k) re-reads an expression in the cluster before the
+    mutation at k in the cluster after it: by the involution, the old k-th
+    variable is N_k / z_k, where N_k = p_plus + p_minus at k in the
+    *mutated* quiver, read in fresh symbols z_1..z_n naming the new
+    cluster.  N_k does not involve z_k."""
+    fld, n = seed.field, seed.n
+    steps = []
     q = seed.quiver
     for k in path:
         q = q.mutate(k)  # raises at frozen/out-of-range vertices
-        numer = _exchange_sum_symbolic(q, k, fld, n)
-        subs = [_subst_reciprocal_rational(s, k, numer) for s in subs]
-    return subs
-
-
-def _is_identity(s: RationalExpr, i: int) -> bool:
-    """Whether s is the variable x_i over denominator 1, read off its
-    terms."""
-    terms = s.num.terms
-    if len(terms) != 1 or not s.den.is_one():
-        return False
-    for e in terms:
-        return e[i] == 1 and e.count(0) == len(e) - 1 and terms[e] == 1
-
-
-def _eval_poly(f: LaurentPoly, subs: list[RationalExpr],
-               identity: list[bool]) -> RationalExpr:
-    """f with x_i replaced by subs[i], except where identity[i] says that
-    subs[i] is x_i itself: those exponents pass through unchanged."""
-    fld, n = f.field, f.n
-    total = None
-    cache: dict[tuple[int, int], RationalExpr] = {}
-    for e, c in f.terms.items():
-        passthrough = tuple(a if identity[i] else 0 for i, a in enumerate(e))
-        term = RationalExpr(LaurentPoly(fld, n, {passthrough: c}))
-        for i, a in enumerate(e):
-            if a == 0 or identity[i]:
-                continue
-            key = (i, a)
-            power = cache.get(key)
-            if power is None:
-                power = cache[key] = subs[i] ** a
-            term = term * power
-        total = term if total is None else total + term
-    if total is None:
-        return RationalExpr(LaurentPoly.zero(fld, n))
-    return total
+        steps.append((k, _exchange_sum_symbolic(q, k, fld, n)))
+    return steps
 
 
 def express_rational(g: RationalExpr | LaurentPoly,
-                     subs: list[RationalExpr]) -> RationalExpr:
+                     steps: list[tuple[int, LaurentPoly]]) -> RationalExpr:
+    """g re-read along `steps` (from `cluster_substitution`): each step
+    substitutes z_k -> N_k / z_k in the numerator and the denominator,
+    and cancels the common power of N_k the two pick up.  Denominators
+    are carried unreduced."""
     if isinstance(g, LaurentPoly):
-        g = RationalExpr.from_laurent(g)
-    identity = []
-    for i, s in enumerate(subs):
-        g.num._compat(s.num)  # identity entries take part in no product
-        identity.append(_is_identity(s, i))
-    num = _eval_poly(g.num, subs, identity)
-    if g.den.is_one():
-        return num
-    return num / _eval_poly(g.den, subs, identity)
+        g = RationalExpr(g)
+    num, den = g.num, g.den
+    if steps:
+        num._compat(steps[0][1])
+    for k, numer in steps:
+        num, up = _subst_reciprocal(num, k, numer)
+        den, down = _subst_reciprocal(den, k, numer)
+        if up > down:
+            den = _times(den, numer ** (up - down))
+        elif down > up:
+            num = _times(num, numer ** (down - up))
+    return RationalExpr(num, den)
 
 
 def express_in_cluster(g: RationalExpr | LaurentPoly, seed: Seed,
@@ -291,9 +262,10 @@ def express_in_cluster(g: RationalExpr | LaurentPoly, seed: Seed,
     decides Laurentness."""
     if isinstance(g, LaurentPoly):
         g = RationalExpr(g)
+    g.num._compat(seed.vars[0])  # also for the empty path
     path = tuple(path)
-    subs = cluster_substitution(seed, path)
-    moved = express_rational(g, subs)
+    steps = cluster_substitution(seed, path)
+    moved = express_rational(g, steps)
     try:
         return moved.as_laurent()
     except NotDivisibleError as exc:
@@ -310,49 +282,46 @@ class MembershipVerdict:
     depth: int
     clusters_checked: int
     failing_path: tuple[int, ...] | None = None
-    expansions: dict = field(default_factory=dict, compare=False)
 
 
 def upper_membership_sample(g: RationalExpr | LaurentPoly, seed: Seed,
-                            depth: int, keep_expansions: bool = False
-                            ) -> MembershipVerdict:
+                            depth: int) -> MembershipVerdict:
     """Check that g is Laurent in every cluster reachable in <= depth
     mutations (a finite sample of the upper-algebra condition).
 
-    Paths repeating the vertex just mutated are skipped: such a step returns
-    to the previous cluster.  Paths are visited in lexicographic order, so
-    the reported failing path is the lexicographically first one at its
-    depth."""
+    The walk carries the expansion it has just verified and re-reads it
+    one step per edge.  Paths repeating the vertex just mutated are
+    skipped: such a step returns to the previous cluster.  Paths are
+    visited in lexicographic order, so the reported failing path is the
+    lexicographically first one at its depth."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if isinstance(g, LaurentPoly):
         g = RationalExpr(g)
+    g.num._compat(seed.vars[0])
     fld, n = seed.field, seed.n
-    expansions: dict[tuple[int, ...], LaurentPoly] = {}
     counter = {"clusters": 0}
 
-    def walk(quiver: Quiver, subs: list[RationalExpr],
-             path: tuple[int, ...], remaining: int
-             ) -> tuple[int, ...] | None:
+    def walk(quiver: Quiver, moved: RationalExpr, path: tuple[int, ...],
+             remaining: int) -> tuple[int, ...] | None:
         counter["clusters"] += 1
         try:
-            expansion = express_rational(g, subs).as_laurent()
+            expansion = moved.as_laurent()
         except NotDivisibleError:
             return path
-        if keep_expansions:
-            expansions[path] = expansion
         if remaining == 0:
             return None
         for k in quiver.mutable:
             if path and path[-1] == k:
                 continue
             q2 = quiver.mutate(k)
-            numer = _exchange_sum_symbolic(q2, k, fld, n)
-            subs2 = [_subst_reciprocal_rational(s, k, numer) for s in subs]
-            bad = walk(q2, subs2, path + (k,), remaining - 1)
+            step = (k, _exchange_sum_symbolic(q2, k, fld, n))
+            bad = walk(q2, express_rational(expansion, [step]), path + (k,),
+                       remaining - 1)
             if bad is not None:
                 return bad
         return None
 
-    subs0 = [RationalExpr.variable(fld, n, i) for i in range(n)]
-    failing = walk(seed.quiver, subs0, (), depth)
+    failing = walk(seed.quiver, g, (), depth)
     return MembershipVerdict(failing is None, depth, counter["clusters"],
-                             failing, expansions)
+                             failing)

@@ -229,6 +229,29 @@ def test_negative_degree_rejected(capsys):
     assert "must be nonnegative" in captured.err
 
 
+def test_negative_membership_depth_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["markov", "--check", "membership", "--depth", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--vars", "2", "--prime", "5", "--num", "x1", "--den", "0"],
+    ["split", "--vars", "2", "--prime", "5", "--num", "x1",
+     "--twist-den", "0"],
+    ["laurent", "--vars", "1", "--op", "div", "--lhs", "x1", "--rhs", "0"],
+])
+def test_zero_divisor_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "zero" in err
+
+
 def test_exponent_out_of_range_is_usage_error(capsys):
     code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
                          "--lhs", f"x1^{2**63 - 1}", "--rhs", "x1")

@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clusterfrob import (GF, QQ, FieldMismatchError, LaurentPoly,
-                         NotLaurentError, Quiver, Seed, budgets,
+                         NotLaurentError, Quiver, RationalExpr, Seed, budgets,
                          cluster_substitution, corpus, explore,
                          express_in_cluster, express_rational, initial_seed,
                          upper_membership_sample)
@@ -254,10 +254,13 @@ def test_explore_frozen_vertex_skipped():
 
 def test_cluster_substitution_a2():
     s = seed_for("a2")
-    subs = cluster_substitution(s, (0,))
-    # x1 = (1 + z2) / z1 in the new chart, x2 unchanged
-    assert subs[0] == lp(QQ, 2, [((-1, 1), 1), ((-1, 0), 1)])
-    assert subs[1] == LaurentPoly.variable(QQ, 2, 1)
+    steps = cluster_substitution(s, (0,))
+    assert steps == [(0, lp(QQ, 2, [((0, 1), 1), ((0, 0), 1)]))]
+    # re-read along the step, x1 = (1 + z2) / z1 and x2 is unchanged
+    x1, x2 = (LaurentPoly.variable(QQ, 2, i) for i in range(2))
+    assert express_rational(x1, steps) == lp(QQ, 2, [((-1, 1), 1),
+                                                     ((-1, 0), 1)])
+    assert express_rational(x2, steps) == x2
 
 
 def test_express_variable_in_adjacent_cluster():
@@ -289,13 +292,66 @@ def test_express_rational_identity():
 
 
 def test_express_rational_identity_subs_keep_ring_checks():
-    # identity entries pass exponents through without a product, so the
-    # ring of each entry is checked on its own
-    g = lp(QQ, 2, [((2, -1), 1), ((0, 0), 5)])
-    for subs in (cluster_substitution(seed_for("a2", GF(5)), ()),
-                 cluster_substitution(seed_for("a3"), ())[:2]):
-        with pytest.raises(FieldMismatchError):
-            express_rational(g, subs)
+    # the one-step path mutates x1 and passes x2 through without a
+    # product, so the ring is checked against the seed's, for every path
+    for g in (lp(QQ, 2, [((2, -1), 1), ((0, 0), 5)]),
+              LaurentPoly.variable(QQ, 2, 1)):
+        for s in (seed_for("a2", GF(5)), seed_for("a3")):
+            for path in ((), (0,)):
+                with pytest.raises(FieldMismatchError):
+                    express_in_cluster(g, s, path)
+            for depth in (0, 1):
+                with pytest.raises(FieldMismatchError):
+                    upper_membership_sample(g, s, depth)
+
+
+def evaluate(f, values):
+    """f with x_i replaced by values[i], term by term in RationalExpr
+    arithmetic: an evaluator at the images of the initial variables,
+    which shares no code with the substitution steps."""
+    total = RationalExpr(LaurentPoly.zero(f.field, f.n))
+    for e, c in f.terms.items():
+        term = RationalExpr(LaurentPoly.constant(f.field, f.n, c))
+        for v, a in zip(values, e):
+            term = term * RationalExpr(v) ** a
+        total = total + term
+    return total
+
+
+def laurent_polys(n):
+    exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * n)
+    return st.lists(st.tuples(exps, st.integers(min_value=-3, max_value=3)),
+                    min_size=1, max_size=3)
+
+
+@given(st.sampled_from(["a2", "a3", "markov"]),
+       st.sampled_from([QQ, GF(5)]),
+       st.lists(st.integers(min_value=0, max_value=2), max_size=4),
+       st.booleans(), st.data())
+def test_express_rational_matches_evaluation_at_images(name, fld, path,
+                                                       rational, data):
+    s = seed_for(name, fld)
+    path = [k % s.n for k in path]
+    num = lp(fld, s.n, data.draw(laurent_polys(s.n)))
+    den = lp(fld, s.n, data.draw(laurent_polys(s.n))) if rational else None
+    if den is not None and den.is_zero():
+        den = None
+    g = RationalExpr(num, den)
+    steps = cluster_substitution(s, path)
+    assert [k for k, _ in steps] == path
+    # every prefix of the steps re-reads g in the cluster of that prefix.
+    # Mutating back from that cluster, by exact division in Seed.mutate,
+    # gives the images of the initial variables as Laurent polynomials in
+    # it, and g evaluated at them must be the re-read g.  (Evaluating the
+    # re-read g at the cluster's own variables instead takes over a minute
+    # for one three-step markov path: its unreduced terms raise them to
+    # high powers.)
+    for i in range(len(path) + 1):
+        there = initial_seed(s.mutate_path(path[:i]).quiver, fld)
+        back = there.mutate_path(reversed(path[:i]))
+        assert back.quiver == s.quiver
+        expected = evaluate(g.num, back.vars) / evaluate(g.den, back.vars)
+        assert express_rational(g, steps[:i]).equals(expected)
 
 
 def test_markov_invariant_element():
@@ -331,6 +387,12 @@ def test_membership_skips_immediate_backtrack():
     # alternates, so the count is 1 + 2 + 2 + 2
     assert verdict.clusters_checked == 7
     assert verdict.ok
+
+
+def test_membership_rejects_negative_depth():
+    s = seed_for("a2")
+    with pytest.raises(ValueError, match="nonnegative"):
+        upper_membership_sample(LaurentPoly.variable(QQ, 2, 0), s, -1)
 
 
 def test_membership_gf():
