@@ -1,4 +1,4 @@
-"""Time the arithmetic kernels and four library workloads.
+"""Time the arithmetic kernels and five library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
@@ -151,6 +151,13 @@ MACRO_SNIPPETS = {
         "from clusterfrob.showcase import markov_M, markov_seed\n"
         "m = markov_M(3, QQ)\n"
         "assert upper_membership_sample(m, markov_seed(3, QQ), 3).ok\n"),
+    "express markov3 M along 1,2,3": (
+        "from clusterfrob.fields import QQ\n"
+        "from clusterfrob.seed import express_in_cluster\n"
+        "from clusterfrob.showcase import markov_M, markov_seed\n"
+        "m = markov_M(3, QQ)\n"
+        "assert len(express_in_cluster(m, markov_seed(3, QQ), (0, 1, 2))) "
+        "== 118\n"),
 }
 
 

@@ -5,6 +5,11 @@ seed exploration, the f^(p-1) expansion) checks the active budget set and
 raises BudgetExceededError instead of thrashing.  Budgets are plain data;
 `limits(...)` temporarily overrides fields for a with-block.
 
+Polynomial arithmetic has two budgets.  No polynomial a kernel or a
+division produces (product, quotient or remainder) has more than
+max_terms terms, and no call does more pairwise work than the raw
+allowance, which the kernels alone charge.
+
 The active budgets and the active raw meter live in one ContextVar, so a
 with-block is seen only by the code it encloses: an asyncio task sees its
 own blocks and not a sibling's, and threads never see each other's.  A
@@ -23,7 +28,6 @@ from dataclasses import dataclass, replace
 class Budgets:
     max_terms: int = 10**6          # terms per polynomial
     max_seeds: int = 10**5          # distinct seeds per exploration
-    max_division_steps: int = 10**6  # quotient terms per exact division
     max_raw_products: int = 10**7   # raw term-products per metered region
 
 

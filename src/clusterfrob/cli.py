@@ -220,11 +220,13 @@ def _cmd_certify_acyclic(args) -> Certificate:
 
 
 def _cmd_markov(args) -> Certificate:
+    if args.a < 2:
+        raise argparse.ArgumentTypeError("the Markov family needs a >= 2")
     cert = Certificate("markov")
     cert.add_input("a", args.a)
     cert.add_input("check", args.check)
     if args.check == "relation":
-        fld = GF(args.prime) if args.prime is not None else QQ
+        fld = _field_for(args)
         cert.add_input("field", fld.name)
         m = markov_M(args.a, fld)
         cert.add_witness("M", m.render())
@@ -244,7 +246,7 @@ def _cmd_markov(args) -> Certificate:
             cert.add_check("variables-homogeneous-degree-1", not bad,
                            "" if not bad else bad[0])
         else:
-            fld = GF(args.prime) if args.prime is not None else QQ
+            fld = _field_for(args)
             grading = Grading(args.a)
             cert.add_witness("deg-M", grading.degree((0, 0, 0, 1)))
             cert.add_check("deg-M-nonnegative",
@@ -252,7 +254,7 @@ def _cmd_markov(args) -> Certificate:
             cert.add_check("relation-homogeneous",
                            grading.is_homogeneous(grading.relation_poly(fld)))
     elif args.check == "membership":
-        fld = GF(args.prime) if args.prime is not None else QQ
+        fld = _field_for(args)
         cert.add_input("field", fld.name)
         depth = args.depth if args.depth is not None else 2
         cert.add_input("depth", depth)
@@ -363,14 +365,13 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_common(sp, budgets_too=True):
+def _add_common(sp):
     sp.add_argument("--json", action="store_true",
                     help="emit the certificate as JSON")
-    if budgets_too:
-        sp.add_argument("--budget-terms", type=positive_int, default=None,
-                        help="max terms per polynomial")
-        sp.add_argument("--budget-seeds", type=positive_int, default=None,
-                        help="max seeds per exploration")
+    sp.add_argument("--budget-terms", type=positive_int, default=None,
+                    help="max terms per polynomial")
+    sp.add_argument("--budget-seeds", type=positive_int, default=None,
+                    help="max seeds per exploration")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,8 @@ coefficients.  `p == 0` means object coefficients (Fraction over QQ);
 Laurent monomials are units: a product with a one-term factor is a
 shift, `scale_shift_terms`, with no merge, charged like the one row of
 the general product.  `LaurentPoly.exact_divide` divides by a one-term
-divisor the same way.
+divisor as the product with its inverse, so it takes the same path.
+Only the kernels charge the raw allowance.
 
 Exponents are kept inside signed 64-bit range, so that a packed
 representation with fixed-width exponent fields can replace the tuples

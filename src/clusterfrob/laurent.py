@@ -8,9 +8,9 @@ rendering used by the CLI, and unreduced numerator/denominator pairs
 (RationalExpr) for fraction-field work.
 
 Laurent monomials are units, and units cost nothing: a product with a
-one-term factor and an exact division by a one-term divisor are shifts,
-and RationalExpr never forms a product with 1 or divides by a
-denominator equal to 1.
+one-term factor is a shift, an exact division by a one-term divisor is
+the product with its inverse, and RationalExpr never forms a product
+with 1 or divides by a denominator equal to 1.
 
 Term order is lexicographic on exponent tuples throughout; the canonical
 rendering lists terms in descending lex order.
@@ -228,10 +228,9 @@ class LaurentPoly:
     def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / divisor, or NotDivisibleError.
 
-        A one-term divisor c*x^e is a unit: the quotient is self shifted
-        by -e and scaled by 1/c (`_divide_by_monomial`).  Any other
-        divisor goes through descending cancellation
-        (`_divide_by_cancellation`).
+        A one-term divisor is a unit: the quotient is the product with
+        its inverse, a shift bounded like any product.  Any other divisor
+        goes through descending cancellation (`_divide_by_cancellation`).
         """
         self._compat(divisor)
         if divisor.is_zero():
@@ -239,44 +238,8 @@ class LaurentPoly:
         if self.is_zero():
             return self
         if len(divisor.terms) == 1:
-            return self._divide_by_monomial(divisor)
+            return self * divisor.inverse()
         return self._divide_by_cancellation(divisor)
-
-    def _divide_by_monomial(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """self / c*x^e as one shift by -e, scaled by 1/c.
-
-        The budgets are charged as `_divide_by_cancellation` charges
-        them: one step and one raw product per quotient term, with
-        len(self) - s remainder terms left after step s.  So that loop
-        stops at the first step past the raw allowance or the step
-        budget (checked in that order), or at step 1 when the remainder
-        left then is already too big.  Unlike the loop, the shift also
-        range-checks the quotient's exponents."""
-        field = self.field
-        (eb, cb), = divisor.terms.items()
-        bres = budgets.current()
-        raw = budgets.raw_allowance()
-        left, size = raw[0], len(self.terms)
-        if size - 1 > bres.max_terms:
-            step = 1
-        else:
-            step = min(left, bres.max_division_steps) + 1
-        if step <= size:
-            if step > left:
-                raw[0] = 0
-                raise BudgetExceededError(
-                    "max_raw_products", "division work exhausted the raw "
-                    "term-product allowance")
-            raw[0] = left - step
-            if step > bres.max_division_steps:
-                raise BudgetExceededError(
-                    "max_division_steps", f"after {step} cancellations")
-            raise BudgetExceededError(
-                "max_terms", "division remainder grew past the budget")
-        quotient = kernels.scale_shift_terms(
-            self.terms, tuple(-x for x in eb), field.invert(cb), field.char)
-        raw[0] = left - size
-        return LaurentPoly(field, self.n, quotient)
 
     def _divide_by_cancellation(self, divisor: "LaurentPoly"
                                 ) -> "LaurentPoly":
@@ -286,8 +249,9 @@ class LaurentPoly:
         are additive under multiplication, every true quotient term lies
         in the box [min(self)-min(divisor), max(self)-max(divisor)]; a
         candidate outside that box disproves divisibility immediately,
-        and the box also bounds the number of steps.  The configured
-        term and step budgets remain as backstops."""
+        and the box also bounds the number of steps.  As for a product,
+        max_terms caps the quotient and the remainder, and every
+        cancellation is charged to the raw meter as one row."""
         field = self.field
         p = field.char
         lo_a, hi_a = self.support_box()
@@ -308,7 +272,6 @@ class LaurentPoly:
         heap = [tuple(-x for x in e) for e in rem]
         heapq.heapify(heap)
         quotient: dict = {}
-        steps = 0
         while rem:
             while True:
                 if not heap:
@@ -326,10 +289,9 @@ class LaurentPoly:
             touched = kernels.submul_terms(rem, et, ct, divisor.terms, p, raw)
             for e in touched:
                 heapq.heappush(heap, tuple(-x for x in e))
-            steps += 1
-            if steps > bres.max_division_steps:
+            if len(quotient) > bres.max_terms:
                 raise BudgetExceededError(
-                    "max_division_steps", f"after {steps} cancellations")
+                    "max_terms", f"quotient exceeded {bres.max_terms} terms")
             if len(rem) > bres.max_terms:
                 raise BudgetExceededError(
                     "max_terms", "division remainder grew past the budget")

@@ -258,14 +258,17 @@ def express_in_cluster(g: RationalExpr | LaurentPoly, seed: Seed,
     """Laurent expansion of g (given in the initial variables of `seed`) in
     the cluster reached by `path`; NotLaurentError when no expansion exists.
 
-    Denominators are carried unreduced; a single exact division at the end
-    decides Laurentness."""
+    g is re-read one step at a time and divided out after each step where
+    the division is exact, so the powers of N_k do not compound; a
+    fraction is carried only while it is not.  The exact division at the
+    end decides Laurentness."""
     if isinstance(g, LaurentPoly):
         g = RationalExpr(g)
     g.num._compat(seed.vars[0])  # also for the empty path
     path = tuple(path)
-    steps = cluster_substitution(seed, path)
-    moved = express_rational(g, steps)
+    moved = g
+    for step in cluster_substitution(seed, path):
+        moved = express_rational(moved, [step]).simplify()
     try:
         return moved.as_laurent()
     except NotDivisibleError as exc:

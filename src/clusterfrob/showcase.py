@@ -36,6 +36,8 @@ def markov_seed(a: int = 2, coefficient_field=QQ) -> Seed:
 def markov_M(a: int = 2, coefficient_field=QQ) -> RationalExpr:
     """M = (x1^a + x2^a + x3^a)/(x1 x2 x3); the defining relation is
     asserted before returning."""
+    if a < 2:
+        raise ValueError("the Markov family needs a >= 2")
     fld = coefficient_field
     num = LaurentPoly.from_terms(fld, 3, [((a, 0, 0), 1), ((0, a, 0), 1),
                                           ((0, 0, a), 1)])

@@ -238,6 +238,15 @@ def test_negative_membership_depth_rejected(capsys):
     assert "must be nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("check", ["relation", "grading"])
+@pytest.mark.parametrize("a", ["1", "0", "-1"])
+def test_markov_below_two_is_usage_error(capsys, check, a):
+    code, out, err = run(capsys, "markov", "--check", check, "--a", a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the Markov family needs a >= 2")
+
+
 @pytest.mark.parametrize("argv", [
     ["split", "--vars", "2", "--prime", "5", "--num", "x1", "--den", "0"],
     ["split", "--vars", "2", "--prime", "5", "--num", "x1",

@@ -203,20 +203,53 @@ def monomial_divisions(draw):
                               max_denominator=5).filter(bool)
     num = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=12))
     e, c = draw(exps), draw(coeffs)
-    limits = {"max_division_steps": draw(st.integers(0, 14)),
-              "max_terms": draw(st.integers(0, 14))}
+    max_terms = draw(st.integers(0, 14))
     raw = draw(st.integers(0, 14))
     return (LaurentPoly.from_terms(field, nvars, num),
-            LaurentPoly.monomial(field, nvars, e, c), limits, raw)
+            LaurentPoly.monomial(field, nvars, e, c), max_terms, raw)
 
 
 @given(monomial_divisions())
 def test_divide_by_monomial_matches_cancellation_loop(case):
-    num, mono, limits, raw = case
-    shift = budget_outcome(lambda: num.exact_divide(mono), limits, raw)
+    # a division by a monomial is the product with its inverse: it gives
+    # the cancellation loop's quotient and raw charge, and is bounded as
+    # a product, raw work first, the whole row charged
+    num, mono, max_terms, raw = case
+    loose = {"max_terms": 14}
+    shift = budget_outcome(lambda: num.exact_divide(mono), loose, 14)
     loop = budget_outcome(lambda: num._divide_by_cancellation(mono),
-                          limits, raw)
+                          loose, 14)
     assert shift == loop
+    (quotient, _), _ = shift
+    got = budget_outcome(lambda: num.exact_divide(mono),
+                         {"max_terms": max_terms}, raw)
+    if raw < len(num):
+        assert got[0][0] == "max_raw_products" and got[1] == 0
+    elif max_terms < len(num):
+        assert got[0][0] == "max_terms" and got[1] == raw - len(num)
+    else:
+        assert got == ((quotient, ""), raw - len(num))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_division_bounded_like_a_product(field):
+    # (x^50 - 1) / (x - 1): 50 cancellations of 2 raw products each, and
+    # a 50-term quotient
+    num = lp(field, 1, [((50,), 1), ((0,), -1)])
+    den = lp(field, 1, [((1,), 1), ((0,), -1)])
+    quotient = lp(field, 1, [((i,), 1) for i in range(50)])
+    with budgets.raw_meter(99), pytest.raises(BudgetExceededError) as exc:
+        num.exact_divide(den)
+    assert exc.value.budget == "max_raw_products"
+    with budgets.raw_meter(100) as meter:
+        assert num.exact_divide(den) == quotient
+    assert meter[0] == 0
+    with budgets.limits(max_terms=49), pytest.raises(
+            BudgetExceededError) as exc:
+        num.exact_divide(den)
+    assert exc.value.budget == "max_terms"
+    with budgets.limits(max_terms=50):
+        assert num.exact_divide(den) == quotient
 
 
 def test_divide_by_monomial_guards_quotient_exponents():

@@ -17,7 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clusterfrob import (GF, QQ, FieldMismatchError, LaurentPoly,
-                         NotLaurentError, Quiver, RationalExpr, Seed, budgets,
+                         NotDivisibleError, NotLaurentError, Quiver,
+                         RationalExpr, Seed, budgets,
                          cluster_substitution, corpus, explore,
                          express_in_cluster, express_rational, initial_seed,
                          upper_membership_sample)
@@ -352,6 +353,41 @@ def test_express_rational_matches_evaluation_at_images(name, fld, path,
         assert back.quiver == s.quiver
         expected = evaluate(g.num, back.vars) / evaluate(g.den, back.vars)
         assert express_rational(g, steps[:i]).equals(expected)
+
+
+@given(st.sampled_from(["a3", "markov", "markov3"]),
+       st.sampled_from([QQ, GF(5)]),
+       st.lists(st.integers(min_value=0, max_value=2), max_size=3),
+       st.sampled_from(["laurent", "rational", "cluster"]), st.data())
+def test_express_in_cluster_matches_one_shot_division(name, fld, path, kind,
+                                                      data):
+    # the stepwise re-reading agrees with the whole path applied at once
+    # and one exact division at the end, Laurent or not
+    s = seed_for(name, fld)
+    path = [k % s.n for k in path]
+    if kind == "cluster":
+        # products of cluster variables are Laurent in every cluster
+        there = s.mutate_path(data.draw(
+            st.lists(st.integers(min_value=0, max_value=2), max_size=2)))
+        picks = data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                   min_size=1, max_size=2))
+        g = there.vars[picks[0]]
+        for i in picks[1:]:
+            g = g * there.vars[i]
+    else:
+        num = lp(fld, s.n, data.draw(laurent_polys(s.n)))
+        den = lp(fld, s.n, data.draw(laurent_polys(s.n)))
+        if kind == "laurent" or den.is_zero():
+            den = None
+        g = RationalExpr(num, den)
+    try:
+        expected = express_rational(
+            g, cluster_substitution(s, path)).as_laurent()
+    except NotDivisibleError:
+        with pytest.raises(NotLaurentError):
+            express_in_cluster(g, s, path)
+    else:
+        assert express_in_cluster(g, s, path) == expected
 
 
 def test_markov_invariant_element():
