@@ -1,9 +1,10 @@
-"""Time the arithmetic kernels and five library workloads.
+"""Time the arithmetic kernels and six library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
 Both import clusterfrob from this checkout's src/, never an installed
-copy.
+copy.  The markov3 row mutates criterion 1's 200 seeded paths, each
+under raw_meter(10_000), the allowance criterion 1 gives them.
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -151,6 +152,26 @@ MACRO_SNIPPETS = {
         "from clusterfrob.showcase import markov_M, markov_seed\n"
         "m = markov_M(3, QQ)\n"
         "assert upper_membership_sample(m, markov_seed(3, QQ), 3).ok\n"),
+    "mutate markov3 criterion-1 paths": (
+        "import random\n"
+        "from clusterfrob import budgets, corpus\n"
+        "from clusterfrob.errors import BudgetExceededError\n"
+        "from clusterfrob.fields import QQ\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "base = initial_seed(corpus.load('markov3'), QQ)\n"
+        "rng = random.Random(20260818)\n"
+        "steps = truncated = 0\n"
+        "for _ in range(200):\n"
+        "    path = [rng.choice(range(3)) for _ in range(rng.randint(1, 6))]\n"
+        "    try:\n"
+        "        with budgets.raw_meter(10_000):\n"
+        "            s = base\n"
+        "            for k in path:\n"
+        "                s = s.mutate(k)\n"
+        "                steps += 1\n"
+        "    except BudgetExceededError:\n"
+        "        truncated += 1\n"
+        "assert (steps, truncated) == (587, 32), (steps, truncated)\n"),
     "express markov3 M along 1,2,3": (
         "from clusterfrob.fields import QQ\n"
         "from clusterfrob.seed import express_in_cluster\n"

@@ -8,7 +8,8 @@ raises BudgetExceededError instead of thrashing.  Budgets are plain data;
 Polynomial arithmetic has two budgets.  No polynomial a kernel or a
 division produces (product, quotient or remainder) has more than
 max_terms terms, and no call does more pairwise work than the raw
-allowance, which the kernels alone charge.
+allowance.  The kernels alone charge it: a kernel call is charged its
+whole pairwise work before it forms any pair.
 
 The active budgets and the active raw meter live in one ContextVar, so a
 with-block is seen only by the code it encloses: an asyncio task sees its
@@ -34,8 +35,8 @@ class Budgets:
 # (active budgets, active raw meter or None).  Term counts alone cannot
 # bound running time: polynomials supported on a line keep merging
 # products into few terms while the raw pairwise work grows
-# quadratically.  The kernels charge every exponent-pair they touch
-# against an allowance, a one-element list; outside any raw_meter() block
+# quadratically.  Each kernel call charges the exponent-pairs it will
+# form against an allowance, a one-element list; outside any raw_meter() block
 # each kernel call gets a fresh allowance of max_raw_products, inside one
 # the whole block shares the meter.
 _active: ContextVar[tuple[Budgets, list | None]] = ContextVar(

@@ -1,7 +1,7 @@
 """Machine-checkable certificates rendered by the CLI.
 
 The text and JSON renderings are deterministic functions of the mathematical
-content: entries appear in insertion order and wall_time is deliberately
+content: entries appear in insertion order and wall time is deliberately
 excluded (it goes to stderr), so repeated runs are byte-identical."""
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ class Certificate:
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
     passed: bool = True
     counterexample: str = ""
-    wall_time: float = 0.0
 
     def add_input(self, key: str, value) -> None:
         self.inputs.append((key, str(value)))

@@ -21,10 +21,9 @@ import time
 from . import budgets, corpus
 from .certificate import Certificate
 from .errors import (BadCharacteristicError, BudgetExceededError,
-                     ClusterFrobError, LaurentViolationError,
-                     MutationAtFrozenError, NoMutableVertexError,
-                     NotAcyclicError, NotDivisibleError, NotLaurentError,
-                     QuiverFormatError)
+                     ClusterFrobError, MutationAtFrozenError,
+                     NoMutableVertexError, NotAcyclicError,
+                     NotDivisibleError, QuiverFormatError)
 from .fields import GF, QQ, is_prime
 from .frobenius import (SplittingMap, freg_witness_sink, split_apply)
 from .laurent import LaurentPoly, RationalExpr, parse_laurent
@@ -236,17 +235,18 @@ def _cmd_markov(args) -> Certificate:
         cert.add_check("relation-homogeneous",
                        grading.is_homogeneous(grading.relation_poly(fld)))
     elif args.check == "grading":
+        fld = _field_for(args)
+        cert.add_input("field", fld.name)
         if args.a == 2:
             depth = args.depth if args.depth is not None else 4
             cert.add_input("depth", depth)
-            result = explore(markov_seed(2, QQ), depth)
+            result = explore(markov_seed(2, fld), depth)
             cert.add_witness("variables", result.variable_count)
             bad = [v.render() for v in result.variables
                    if v.coordinate_sums() != {1}]
             cert.add_check("variables-homogeneous-degree-1", not bad,
                            "" if not bad else bad[0])
         else:
-            fld = _field_for(args)
             grading = Grading(args.a)
             cert.add_witness("deg-M", grading.degree((0, 0, 0, 1)))
             cert.add_check("deg-M-nonnegative",
@@ -477,12 +477,6 @@ def main(argv=None) -> int:
     except _MathFailure as fail:
         fail.cert.passed = False
         _print(fail.cert, args.json)
-        _stderr_time(started)
-        return MATH_EXIT
-    except (NotDivisibleError, NotLaurentError, LaurentViolationError,
-            NotAcyclicError, NoMutableVertexError,
-            BadCharacteristicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         _stderr_time(started)
         return MATH_EXIT
     except (QuiverFormatError, BudgetExceededError, MutationAtFrozenError,

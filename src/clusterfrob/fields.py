@@ -63,11 +63,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0 in QQ")
         return 1 / Fraction(c)
 
-    def divide(self, a: Fraction, b: Fraction) -> Fraction:
-        if not b:
-            raise ZeroDivisionError("division by 0 in QQ")
-        return Fraction(a) / b
-
     def render(self, c: Fraction) -> str:
         return str(c)
 
@@ -128,9 +123,6 @@ class PrimeField:
         if c % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(c, -1, self.p)
-
-    def divide(self, a: int, b: int) -> int:
-        return a * self.invert(b) % self.p
 
     def render(self, c: int) -> str:
         return str(c)

@@ -33,12 +33,7 @@ def standard_split(f: LaurentPoly, p: int, e: int = 1) -> LaurentPoly:
     _require_prime_field(f, p)
     if e < 1:
         raise ValueError("e must be at least 1")
-    q = p ** e
-    out = {}
-    for exps, c in f.terms.items():
-        if all(a % q == 0 for a in exps):
-            out[tuple(a // q for a in exps)] = c
-    return LaurentPoly(f.field, f.n, out)
+    return f.split(p ** e)
 
 
 @dataclass(frozen=True)

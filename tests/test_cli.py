@@ -100,6 +100,23 @@ def test_markov_grading_a2(capsys):
     assert "check variables-homogeneous-degree-1: pass" in out
 
 
+def test_markov_grading_a2_rejects_a_non_prime(capsys):
+    code, out, err = run(capsys, "markov", "--check", "grading",
+                         "--a", "2", "--prime", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 4 is not prime")
+
+
+def test_markov_grading_a2_over_a_prime_field(capsys):
+    code, out, _ = run(capsys, "markov", "--check", "grading",
+                       "--a", "2", "--prime", "5")
+    assert code == 0
+    assert "input field: GF(5)" in out
+    assert "witness variables: 48" in out
+    assert "check variables-homogeneous-degree-1: pass" in out
+
+
 def test_lowerbound_split(capsys):
     code, out, _ = run(capsys, "lowerbound", "--quiver", "a2",
                        "--prime", "3", "--check", "split")

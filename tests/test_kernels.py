@@ -79,6 +79,28 @@ def test_raw_allowance_fresh_outside_meter():
                 kernels.mul_terms(a, a, 0, 10**6, meter)
 
 
+def test_mul_over_allowance_raises_before_any_pair():
+    # the first pair leaves 64-bit range, but the call's work (4 pairs)
+    # is over the allowance, so it raises before forming that pair
+    a = {(2**62,): 1, (0,): 1}
+    b = {(2**62,): 1, (1,): 1}
+    allowance = [2]
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_terms(a, b, 5, 10**6, allowance)
+    assert err.value.budget == "max_raw_products"
+    assert allowance[0] == 0
+
+
+def test_mul_term_budget_charges_the_whole_work():
+    a = {(i, 0): 1 for i in range(10)}
+    b = {(0, j): 1 for j in range(10)}
+    allowance = [1000]
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_terms(a, b, 0, 50, allowance)
+    assert err.value.budget == "max_terms"
+    assert allowance[0] == 900
+
+
 def test_exponent_overflow_guard():
     big = 2**62
     a = {(big,): Fraction(1)}
@@ -149,6 +171,17 @@ def test_mul_split_respects_term_budget():
     assert err.value.budget == "max_terms"
 
 
+def test_mul_split_over_allowance_raises_before_any_pair():
+    # all four pairs are in the kept class, the first leaves 64-bit range
+    a = {(5 * 2**60,): 1, (0,): 1}
+    b = {(5 * 2**60,): 1, (5,): 1}
+    allowance = [2]
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.mul_split_terms(a, b, 5, 5, 0, 10**6, allowance)
+    assert err.value.budget == "max_raw_products"
+    assert allowance[0] == 0
+
+
 def test_mul_split_overflow_guard():
     # the pair lands in the kept class, and its sum leaves 64-bit range
     a = {(5 * 2**60,): 1}
@@ -198,8 +231,8 @@ def test_mul_one_term_factor_matches_schoolbook(case):
 
 @given(shift_cases())
 def test_mul_one_term_factor_budgets_match_general_row(case):
-    # the general product charges a row before forming it and checks the
-    # merged size after it; a one-term factor is a single row of len(b)
+    # a product is charged its whole work, len(a) * len(b), before it
+    # forms any pair; with a one-term factor that work is len(b)
     p, a, b = case
     allowance = [len(b) - 1]
     with pytest.raises(BudgetExceededError) as err:

@@ -243,4 +243,3 @@ def test_localization_identity_qq():
 def test_exchange_slots_match_quiver():
     pres = pres_for("a3", 3)
     assert len(pres.xprime) == 3
-    assert len(pres.exchange) == 3

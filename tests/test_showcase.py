@@ -27,8 +27,8 @@ def test_relation_recomputed():
             power_sum = LaurentPoly.from_terms(
                 fld, 3,
                 [((a, 0, 0), 1), ((0, a, 0), 1), ((0, 0, a), 1)])
-            assert (m * RationalExpr.from_laurent(xyz)).equals(
-                RationalExpr.from_laurent(power_sum))
+            assert (m * RationalExpr(xyz)).equals(
+                RationalExpr(power_sum))
 
 
 def test_markov_M_is_laurent():
