@@ -1,4 +1,4 @@
-"""Time the arithmetic kernels and six library workloads.
+"""Time the arithmetic kernels and eight library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
@@ -137,6 +137,27 @@ MACRO_SNIPPETS = {
         "s = initial_seed(corpus.load('a3'), GF(3))\n"
         "sample = list(itertools.product(range(-6, 7), repeat=3))\n"
         "assert splitting_invariance_check(s, 0, 3, sample).ok\n"),
+    "invariance markov p=3 at a mutated seed": (
+        "import itertools\n"
+        "from clusterfrob import corpus\n"
+        "from clusterfrob.fields import GF\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "from clusterfrob.frobenius import splitting_invariance_check\n"
+        "s = initial_seed(corpus.load('markov'), GF(3)).mutate(0)\n"
+        "sample = list(itertools.product(range(-6, 7), repeat=3))\n"
+        "for k in range(3):\n"
+        "    assert splitting_invariance_check(s, k, 3, sample).ok\n"),
+    "explore E6 to closure": (
+        "from clusterfrob import Quiver\n"
+        "from clusterfrob.fields import QQ\n"
+        "from clusterfrob.seed import explore, initial_seed\n"
+        "b = [[0] * 6 for _ in range(6)]\n"
+        "for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)):\n"
+        "    b[i][j], b[j][i] = 1, -1\n"
+        "q = Quiver(6, tuple(map(tuple, b)), frozenset())\n"
+        "r = explore(initial_seed(q, QQ), 100)\n"
+        "assert r.closed\n"
+        "assert (r.seed_count, r.variable_count) == (833, 42)\n"),
     "compat a3 p=5 degree 2": (
         "from clusterfrob import corpus\n"
         "from clusterfrob.fields import GF\n"

@@ -24,13 +24,13 @@ from .errors import (BadCharacteristicError, BudgetExceededError,
                      ClusterFrobError, MutationAtFrozenError,
                      NoMutableVertexError, NotAcyclicError,
                      NotDivisibleError, QuiverFormatError)
-from .fields import GF, QQ, is_prime
+from .fields import GF, QQ
 from .frobenius import (SplittingMap, freg_witness_sink, split_apply)
 from .laurent import LaurentPoly, RationalExpr, parse_laurent
 from .lowerbound import (compat_check, degree_bounded_monomials,
                          localization_identity_check, lower_bound_generators,
                          verify_lb_splitting)
-from .quiver import Quiver, load_quiver_file, load_quiver_text, quiver_from_dict
+from .quiver import quiver_from_dict
 from .seed import Seed, explore, initial_seed, upper_membership_sample
 from .showcase import (Grading, graded_obstruction_check,
                        markov_freg_certificate, markov_M, markov_seed)
@@ -49,11 +49,7 @@ class _MathFailure(Exception):
 
 def _field_for(args) -> object:
     prime = getattr(args, "prime", None)
-    if prime is None:
-        return QQ
-    if not is_prime(prime):
-        raise argparse.ArgumentTypeError(f"{prime} is not prime")
-    return GF(prime)
+    return QQ if prime is None else GF(prime)
 
 
 def _resolve_quiver(ref: str):
@@ -88,10 +84,13 @@ def _load_seed(ref: str, field) -> tuple[Seed, str]:
     return initial_seed(q, field), label
 
 
-def _vertex(k: int, n: int) -> int:
+def _vertex(k: int, n: int, frozen=frozenset()) -> int:
+    """The 0-based index of 1-based vertex k; errors name k 1-based."""
     if not 1 <= k <= n:
         raise argparse.ArgumentTypeError(
             f"vertex {k} out of range 1..{n}")
+    if k - 1 in frozen:
+        raise MutationAtFrozenError(f"vertex {k} is frozen")
     return k - 1
 
 
@@ -111,7 +110,7 @@ def _cmd_mutate(args) -> Certificate:
     cert.add_input("vertices", ",".join(str(k) for k in args.at))
     s = seed
     for k in args.at:
-        s = s.mutate(_vertex(k, seed.n))
+        s = s.mutate(_vertex(k, seed.n, seed.quiver.frozen))
     cert.add_witness("quiver-out", s.quiver.to_json())
     for i, v in enumerate(s.vars):
         cert.add_witness(f"x{i + 1}", v.render())
@@ -333,13 +332,14 @@ def _cmd_volform(args) -> Certificate:
     cert.add_input("quiver", label)
     cert.add_input("field", field.name)
     if args.path:
-        path = [_vertex(k, seed.n) for k in args.path]
+        path = [_vertex(k, seed.n, seed.quiver.frozen) for k in args.path]
         sign = mutation_path_sign(seed, path)
         cert.add_input("path", ",".join(str(k) for k in args.path))
         cert.add_witness("sign", sign)
         cert.add_check("jacobian-identity-each-step", True)
     else:
-        vertices = ([_vertex(args.at, seed.n)] if args.at is not None
+        vertices = ([_vertex(args.at, seed.n, seed.quiver.frozen)]
+                    if args.at is not None
                     else list(seed.quiver.mutable))
         for k in vertices:
             sign = volume_form_mutation_sign(seed, k)

@@ -18,10 +18,10 @@ takes the same path.
 Only the kernels charge the raw allowance, and each call is charged its
 whole pairwise work once, by `_charge`, before it forms any pair:
 len(a) * len(b) for a product, len(b) for a cancellation step, and the
-pairs in the kept residue class for the fused split.  The products
-write the allowance back once their output is formed, so a product
-stopped by the range guard is charged nothing and one stopped by
-max_terms the whole work.
+pairs in the kept residue class for the fused split.  Every kernel
+writes the allowance back once its output is formed (a product's terms,
+a cancellation step's row), so a call stopped by the range guard is
+charged nothing and one stopped by max_terms the whole work.
 
 Exponents are kept inside signed 64-bit range, so that a packed
 representation with fixed-width exponent fields can replace the tuples
@@ -215,7 +215,7 @@ def scale_shift_terms(a, e0, c0, p):
 def submul_terms(rem, e0, c0, b, p, raw):
     """In place: rem -= c0 * x^e0 * b.  Returns the keys that remain live.
     Charged len(b) raw products, like a product with one-term factor."""
-    raw[0] = _charge(raw, len(b))
+    remaining = _charge(raw, len(b))
     touched = []
     if p:
         for eb, cb in b.items():
@@ -236,6 +236,7 @@ def submul_terms(rem, e0, c0, b, p, raw):
                 touched.append(e)
             elif e in rem:
                 del rem[e]
+    raw[0] = remaining
     return touched
 
 

@@ -28,11 +28,11 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import budgets, kernels
 from .errors import FieldMismatchError, NotDivisibleError, BudgetExceededError
-from .fields import GF, QQ, require_same_field
+from .fields import require_same_field
 
 
 class LaurentPoly:

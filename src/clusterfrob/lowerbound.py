@@ -28,7 +28,7 @@ from . import budgets
 from .errors import FieldMismatchError, NotDivisibleError
 from .fields import GF, same_field
 from .laurent import LaurentPoly
-from .seed import Seed
+from .seed import Seed, _exchange_sum_symbolic
 
 
 @dataclass(eq=False)
@@ -78,8 +78,7 @@ def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
         g = LaurentPoly.from_terms(fld, nn, [
             (tuple(xy), 1), (plus, -1), (minus, -1)])
         gens.append(g)
-        small = (LaurentPoly.monomial(fld, n, plus_small)
-                 + LaurentPoly.monomial(fld, n, minus_small))
+        small = _exchange_sum_symbolic(seed.quiver, i, fld, n)
         xprime.append(small * LaurentPoly.variable(fld, n, i).inverse())
     f = gens[0]
     for g in gens[1:]:

@@ -10,7 +10,8 @@ A change of cluster is a sequence of one-variable substitutions
 z_k -> N_k / z_k, one per mutation along the path (`cluster_substitution`
 returns them as steps (k, N_k)).  `express_rational` applies the steps to
 an element directly, so re-reading g in another cluster never forms the
-images of the initial variables.
+images of the initial variables.  The steps read a seed in its own
+cluster z: they depend only on its quiver.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
     `depth` steps, deduplicating seeds by `Seed.key` (the cluster, with
     the quiver read in the cluster's order).  `closed` reports whether the
     frontier emptied within the bound, i.e. the whole exchange graph was
-    seen."""
+    seen.  Mutation is an involution, so a seed the walk found by
+    mutating at k is not mutated at k again: that edge leads back."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     max_seeds = budgets.current().max_seeds
@@ -158,6 +160,8 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
         nxt = []
         for s in frontier:
             for k in s.quiver.mutable:
+                if s is not seed and k == s.path[-1]:
+                    continue
                 t = s.mutate(k)
                 tk = t.key()
                 if tk in seen:
@@ -232,8 +236,8 @@ def express_rational(g: RationalExpr | LaurentPoly,
 
 def express_in_cluster(g: RationalExpr | LaurentPoly, seed: Seed,
                        path) -> LaurentPoly:
-    """Laurent expansion of g (given in the initial variables of `seed`) in
-    the cluster reached by `path`; NotLaurentError when no expansion exists.
+    """Laurent expansion of g (given in the seed's own cluster) in the
+    cluster reached by `path`; NotLaurentError when no expansion exists.
 
     g is re-read one step at a time and divided out after each step where
     the division is exact, so the powers of N_k do not compound; a
@@ -266,8 +270,9 @@ class MembershipVerdict:
 
 def upper_membership_sample(g: RationalExpr | LaurentPoly, seed: Seed,
                             depth: int) -> MembershipVerdict:
-    """Check that g is Laurent in every cluster reachable in <= depth
-    mutations (a finite sample of the upper-algebra condition).
+    """Check that g, given in the seed's own cluster, is Laurent in every
+    cluster reachable in <= depth mutations (a finite sample of the
+    upper-algebra condition).
 
     The walk carries the expansion it has just verified and re-reads it
     one step per edge.  Paths repeating the vertex just mutated are

@@ -1,10 +1,11 @@
 """Sign bookkeeping for the log volume form dx1/x1 ^ ... ^ dxn/xn.
 
-Mutation at k replaces the chart coordinate x_k by x_k' = (p+ + p-)/x_k
-while fixing the others, so the form transforms by the one-variable
-Jacobian factor (dx_k'/dx_k) * x_k/x_k'.  Since p+ and p- do not involve
-x_k, that factor is exactly -1; the check below recomputes it through the
-arithmetic kernel instead of trusting the algebra."""
+A seed is read through its quiver, in its own cluster x, so a path is
+walked as its change-of-cluster steps (`cluster_substitution`).  Mutation
+at k replaces x_k by x_k' = N_k/x_k, N_k = p+ + p-, and fixes the others:
+the form picks up the Jacobian factor (dx_k'/dx_k) * x_k/x_k', which is
+exactly -1 since N_k does not involve x_k.  The check recomputes it
+through the arithmetic kernel instead of trusting the algebra."""
 
 from __future__ import annotations
 
@@ -12,36 +13,29 @@ from dataclasses import dataclass
 
 from .errors import VerificationFailedError
 from .laurent import LaurentPoly, RationalExpr
-from .seed import Seed, _exchange_sum_symbolic
+from .seed import Seed, cluster_substitution
 
 
 def volume_form_mutation_sign(seed: Seed, k: int) -> int:
     """The Jacobian sign of mutation at k, always -1; the identity
     x_k * d(x_k')/dx_k + x_k' = 0 is recomputed exactly in the seed's own
     chart and a failure raises (it would mean broken arithmetic)."""
-    fld, n = seed.field, seed.n
-    if k in seed.quiver.frozen:
-        # mutation is undefined here; exchange_monomials raises consistently
-        seed.exchange_monomials(k)
-    numer = _exchange_sum_symbolic(seed.quiver, k, fld, n)
-    xk = LaurentPoly.variable(fld, n, k)
-    x_new = numer * xk.inverse()
-    residue = xk * x_new.partial_derivative(k) + x_new
-    if not residue.is_zero():
-        raise VerificationFailedError(
-            f"Jacobian identity failed at vertex {k}: "
-            f"residue {residue.render()}")
-    return -1
+    return mutation_path_sign(seed, (k,))
 
 
 def mutation_path_sign(seed: Seed, path) -> int:
     """Accumulated Jacobian sign along a mutation path: (-1)^length, with
-    the one-step identity verified at every step."""
+    the one-step identity verified in the chart of every step."""
     sign = 1
-    s = seed
-    for k in path:
-        sign *= volume_form_mutation_sign(s, k)
-        s = Seed(s.quiver.mutate(k), s.vars, s.path)  # chart move only
+    for k, numer in cluster_substitution(seed, path):
+        xk = LaurentPoly.variable(seed.field, seed.n, k)
+        x_new = numer * xk.inverse()
+        residue = xk * x_new.partial_derivative(k) + x_new
+        if not residue.is_zero():
+            raise VerificationFailedError(
+                f"Jacobian identity failed at vertex {k}: "
+                f"residue {residue.render()}")
+        sign = -sign
     return sign
 
 

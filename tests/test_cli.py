@@ -196,7 +196,16 @@ def test_mutate_frozen_is_usage_error(capsys):
     code, _, err = run(capsys, "mutate", "--quiver", "mixed-pair",
                        "--at", "2")
     assert code == 2
-    assert "frozen" in err
+    # named 1-based, like the range error
+    assert err.startswith("error: vertex 2 is frozen\n")
+
+
+@pytest.mark.parametrize("where", [["--at", "2"], ["--path", "1,2"]])
+def test_volform_frozen_is_usage_error(capsys, where):
+    code, out, err = run(capsys, "volform", "--quiver", "mixed-pair", *where)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: vertex 2 is frozen\n")
 
 
 def test_nondivisible_is_math_failure(capsys):

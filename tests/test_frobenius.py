@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, FieldMismatchError, LaurentPoly, NotAcyclicError,
+from clusterfrob import (GF, FieldMismatchError, LaurentPoly,
+                         MutationAtFrozenError, NotAcyclicError,
                          RationalExpr, SplittingMap, corpus, freg_witness_sink,
-                         hom_generator, initial_seed, iterate_split,
-                         split_apply, splitting_invariance_check,
-                         standard_split, verify_test_element)
+                         frobenius, hom_generator, initial_seed,
+                         iterate_split, split_apply,
+                         splitting_invariance_check, standard_split,
+                         verify_test_element)
 
 
 def lp(field, n, terms):
@@ -211,6 +213,41 @@ def test_invariance_markov_spot_checks():
     report = splitting_invariance_check(seed, 0, 3, sample)
     assert report.ok
     assert report.checked == len(sample)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_invariance_at_a_mutated_seed(name, p):
+    # the seed is read in its own cluster, so a seed away from the initial
+    # one certifies its own standard splitting against its neighbours
+    q = corpus.load(name)
+    seed = initial_seed(q, GF(p)).mutate(min(q.mutable))
+    for k in q.mutable:
+        report = splitting_invariance_check(seed, k, p, small_box(q.n, p))
+        assert report.ok, (name, p, k, report.failures[:1])
+        assert report.checked == (2 * p + 1) ** q.n
+
+
+def test_invariance_rejects_frozen_vertex():
+    seed = initial_seed(corpus.load("mixed-pair"), GF(3))
+    with pytest.raises(MutationAtFrozenError):
+        splitting_invariance_check(seed, 1, 3, small_box(2, 3))
+
+
+def test_invariance_fails_for_a_split_off_by_one(monkeypatch):
+    # keeping the exponents = 1 mod p, stored at (e - 1)/p, is a
+    # p^(-1)-linear map but not the standard splitting: it must be caught
+    def shifted(f, p, e=1):
+        return LaurentPoly.from_terms(f.field, f.n, [
+            (tuple((a - 1) // p for a in x), c) for x, c in f
+            if all(a % p == 1 for a in x)])
+
+    monkeypatch.setattr(frobenius, "standard_split", shifted)
+    seed = initial_seed(corpus.load("a2"), GF(3))
+    for k in (0, 1):
+        report = splitting_invariance_check(seed, k, 3, small_box(2, 3))
+        assert report.checked == 49
+        assert not report.ok
 
 
 def test_invariance_rejects_bad_alpha():

@@ -288,5 +288,15 @@ def test_submul_charges_raw_allowance(p):
     assert err.value.budget == "max_raw_products"
 
 
+@pytest.mark.parametrize("p", [0, 5])
+def test_submul_overflow_leaves_the_allowance(p):
+    # the range guard stops the row before it is formed: nothing charged
+    allowance = [10]
+    with pytest.raises(OverflowError):
+        kernels.submul_terms({}, (2**62,), one(p),
+                             {(2**62,): one(p), (0,): one(p)}, p, allowance)
+    assert allowance == [10]
+
+
 def test_backend_reports():
     assert kernels.backend() == "pure"

@@ -87,7 +87,8 @@ def test_initial_seed_variables_are_coordinates():
     s = seed_for("a2")
     assert s.vars == (LaurentPoly.variable(QQ, 2, 0),
                       LaurentPoly.variable(QQ, 2, 1))
-    assert s.is_initial
+    assert s.is_initial()
+    assert not s.mutate(0).is_initial()
     assert s.path == ()
 
 
@@ -140,7 +141,7 @@ def test_mutation_involution_on_state():
     assert twice.same_state(s)
     assert twice.path == (1, 1)
     # is_initial looks at the state, not the path taken to reach it
-    assert twice.is_initial
+    assert twice.is_initial()
 
 
 def test_frozen_variables_never_change():
@@ -240,6 +241,30 @@ def test_explore_nine_vertex_path():
     # for each of the 8 adjacent pairs
     assert result.seed_count == 54
     assert not result.closed
+
+
+def test_explore_never_mutates_back_along_its_edge(monkeypatch):
+    # A4 closes at 42 seeds: the start is mutated at its 4 vertices and
+    # every other seed at the 3 that do not lead back to its parent
+    calls = []
+    mutate = Seed.mutate
+
+    def counted(self, k):
+        calls.append(k)
+        return mutate(self, k)
+
+    monkeypatch.setattr(Seed, "mutate", counted)
+    result = explore(initial_seed(dynkin("A", 4), QQ), 100)
+    assert (result.seed_count, result.closed) == (42, True)
+    assert len(calls) == 42 * 4 - 41
+
+
+def test_explore_from_a_mutated_start_mutates_at_its_last_vertex():
+    # the start's own last mutation leads to a seed the walk has not seen
+    start = seed_for("a3").mutate(1)
+    result = explore(start, 1)
+    assert result.seed_count == 4
+    assert seed_for("a3").key() in {s.key() for s in result.seeds}
 
 
 def test_explore_frozen_vertex_skipped():

@@ -21,6 +21,12 @@ def test_sign_at_frozen_vertex_rejected():
         volume_form_mutation_sign(seed, 1)
 
 
+def test_path_sign_through_frozen_vertex_rejected():
+    seed = initial_seed(corpus.load("mixed-pair"), QQ)
+    with pytest.raises(MutationAtFrozenError):
+        mutation_path_sign(seed, [0, 1])
+
+
 def test_path_sign_alternates():
     seed = initial_seed(corpus.load("a3"), QQ)
     assert mutation_path_sign(seed, []) == 1
