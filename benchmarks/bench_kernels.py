@@ -86,6 +86,7 @@ def micro_rows(repeat):
     b_qq = box_poly(10, 2, qq_coeff)        # 100 terms
     a_line = line_poly(600, gf_coeff)       # quadratic work, few terms
     prod_gf = kernels.mul_terms(a_gf, b_gf, 5, 10**6, list(PLENTY))
+    prod_qq = kernels.mul_terms(a_qq, b_qq, 0, 10**6, list(PLENTY))
     fpow, f = psi_factors("a3", 5)
     psi_rows = f"{len(fpow)}x{len(f)}"
     mono = {(3, -2): 2}
@@ -93,11 +94,11 @@ def micro_rows(repeat):
     mono_poly = LaurentPoly(GF(5), 2, mono)
     div_rows = f"{len(prod_gf)}-term"
 
-    def div_workload():
+    def div_workload(prod, a, b, p):
         # peel one cancellation off the product repeatedly
-        rem = dict(prod_gf)
-        for e in sorted(a_gf)[:40]:
-            kernels.submul_terms(rem, e, a_gf[e], b_gf, 5, list(PLENTY))
+        rem = dict(prod)
+        for e in sorted(a)[:40]:
+            kernels.submul_terms(rem, e, a[e], b, p, list(PLENTY))
 
     rows = [
         ("mul GF(5) 256x196 box", lambda: kernels.mul_terms(
@@ -109,7 +110,9 @@ def micro_rows(repeat):
         ("mul GF(5) 1x256 one-term factor", lambda: kernels.mul_terms(
             mono, a_gf, 5, 10**6, list(PLENTY))),
         ("add GF(5) 256+196", lambda: kernels.add_terms(a_gf, b_gf, 5)),
-        ("submul GF(5) x40", div_workload),
+        ("add QQ 144+100", lambda: kernels.add_terms(a_qq, b_qq, 0)),
+        ("submul GF(5) x40", lambda: div_workload(prod_gf, a_gf, b_gf, 5)),
+        ("submul QQ x40", lambda: div_workload(prod_qq, a_qq, b_qq, 0)),
         (f"psi split a3 p=5 {psi_rows} fused", lambda: kernels.mul_split_terms(
             fpow, f, 5, 5, 4, 10**6, list(PLENTY))),
         (f"psi split a3 p=5 {psi_rows} mul+filter",

@@ -21,9 +21,9 @@ import time
 from . import budgets, corpus
 from .certificate import Certificate
 from .errors import (BadCharacteristicError, BudgetExceededError,
-                     ClusterFrobError, MutationAtFrozenError,
-                     NoMutableVertexError, NotAcyclicError,
-                     NotDivisibleError, QuiverFormatError)
+                     ClusterFrobError, LaurentViolationError,
+                     MutationAtFrozenError, NoMutableVertexError,
+                     NotAcyclicError, NotDivisibleError, QuiverFormatError)
 from .fields import GF, QQ
 from .frobenius import (SplittingMap, freg_witness_sink, split_apply)
 from .laurent import LaurentPoly, RationalExpr, parse_laurent
@@ -94,6 +94,18 @@ def _vertex(k: int, n: int, frozen=frozenset()) -> int:
     return k - 1
 
 
+def _not_a_cluster(cert: Certificate, check: str, seed: Seed,
+                   exc: LaurentViolationError) -> Certificate:
+    """Fail `check` when a mutation of given `vars` is not Laurent: the
+    file is at fault.  From the quiver's initial seed the error stands."""
+    if seed.same_state(initial_seed(seed.quiver, seed.field)):
+        raise exc
+    cert.add_check(check, False,
+                   f"mutation at vertex {exc.vertex + 1} is not Laurent: "
+                   "the file's vars are not a cluster of its quiver")
+    return cert
+
+
 def _print(cert: Certificate, as_json: bool) -> None:
     sys.stdout.write((cert.to_json() if as_json else cert.render()) + "\n")
 
@@ -109,8 +121,11 @@ def _cmd_mutate(args) -> Certificate:
     cert.add_input("field", field.name)
     cert.add_input("vertices", ",".join(str(k) for k in args.at))
     s = seed
-    for k in args.at:
-        s = s.mutate(_vertex(k, seed.n, seed.quiver.frozen))
+    try:
+        for k in args.at:
+            s = s.mutate(_vertex(k, seed.n, seed.quiver.frozen))
+    except LaurentViolationError as exc:
+        return _not_a_cluster(cert, "laurent-at-every-step", seed, exc)
     cert.add_witness("quiver-out", s.quiver.to_json())
     for i, v in enumerate(s.vars):
         cert.add_witness(f"x{i + 1}", v.render())
@@ -125,7 +140,10 @@ def _cmd_explore(args) -> Certificate:
     cert.add_input("quiver", label)
     cert.add_input("field", field.name)
     cert.add_input("depth", args.depth)
-    result = explore(seed, args.depth)
+    try:
+        result = explore(seed, args.depth)
+    except LaurentViolationError as exc:
+        return _not_a_cluster(cert, "exchange-graph-walk", seed, exc)
     cert.add_witness("seeds", result.seed_count)
     cert.add_witness("variables", result.variable_count)
     cert.add_witness("closed", "yes" if result.closed else "no")

@@ -56,8 +56,13 @@ class VerificationFailedError(ClusterFrobError):
 
 
 class LaurentViolationError(ClusterFrobError):
-    """A mutation produced a non-Laurent variable.  This signals an
-    implementation bug, not a property of the input."""
+    """A mutation at `vertex` (0-based) produced a non-Laurent variable.
+    From a quiver's initial seed this signals an implementation bug; from
+    given `vars` it can mean they are not a cluster of the quiver."""
+
+    def __init__(self, message: str, vertex: int):
+        super().__init__(message)
+        self.vertex = vertex
 
 
 class QuiverFormatError(ClusterFrobError):

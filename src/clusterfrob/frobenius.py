@@ -85,24 +85,6 @@ def split_apply(m: SplittingMap, r: RationalExpr | LaurentPoly
     return RationalExpr(cleared, b).simplify()
 
 
-def iterate_split(m: SplittingMap, r: RationalExpr | LaurentPoly,
-                  rounds: int) -> RationalExpr:
-    """Apply m repeatedly (rounds >= 1)."""
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    out = split_apply(m, r)
-    for _ in range(rounds - 1):
-        out = split_apply(m, out)
-    return out
-
-
-def verify_test_element(c: LaurentPoly | RationalExpr,
-                        m: SplittingMap) -> bool:
-    """True exactly when the map sends c^(1/p^e) to 1."""
-    value = split_apply(m, c)
-    return value.is_one()
-
-
 # -- generator of the splitting module -----------------------------------------
 
 

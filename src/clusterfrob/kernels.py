@@ -7,6 +7,9 @@ A polynomial is a dict mapping exponent tuples (ints) to nonzero
 coefficients.  `p == 0` means object coefficients (Fraction over QQ);
 `p > 0` means canonical residues mod p.
 
+Each kernel has one accumulation loop for both fields, which differ only
+in its reduction line, `if p: v %= p`; a sum that cancels deletes its key.
+
 Inside the package only `laurent` calls these kernels, and no other
 module knows the term format.
 
@@ -47,42 +50,21 @@ def _checked_add(ea, eb):
 
 def add_terms(a, b, p):
     out = dict(a)
-    if p:
-        for e, c in b.items():
-            v = (out.get(e, 0) + c) % p
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    else:
-        for e, c in b.items():
-            old = out.get(e)
-            v = c if old is None else old + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+    get = out.get
+    for e, c in b.items():
+        old = get(e)
+        v = c if old is None else old + c
+        if p:
+            v %= p
+        if v:
+            out[e] = v
+        elif old is not None:
+            del out[e]
     return out
 
 
 def sub_terms(a, b, p):
-    out = dict(a)
-    if p:
-        for e, c in b.items():
-            v = (out.get(e, 0) - c) % p
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    else:
-        for e, c in b.items():
-            old = out.get(e)
-            v = -c if old is None else old - c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
+    return add_terms(a, neg_terms(b, p), p)
 
 
 def neg_terms(a, p):
@@ -126,33 +108,21 @@ def mul_terms(a, b, p, max_terms, raw):
     out = {}
     get = out.get
     bitems = list(b.items())
-    if p:
-        for ea, ca in a.items():
-            for eb, cb in bitems:
-                e = _checked_add(ea, eb)
-                v = (get(e, 0) + ca * cb) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-            if len(out) > max_terms:
-                raw[0] = remaining
-                raise BudgetExceededError(
-                    "max_terms", f"product exceeded {max_terms} terms")
-    else:
-        for ea, ca in a.items():
-            for eb, cb in bitems:
-                e = _checked_add(ea, eb)
-                old = get(e)
-                v = ca * cb if old is None else old + ca * cb
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-            if len(out) > max_terms:
-                raw[0] = remaining
-                raise BudgetExceededError(
-                    "max_terms", f"product exceeded {max_terms} terms")
+    for ea, ca in a.items():
+        for eb, cb in bitems:
+            e = _checked_add(ea, eb)
+            old = get(e)
+            v = ca * cb if old is None else old + ca * cb
+            if p:
+                v %= p
+            if v:
+                out[e] = v
+            elif old is not None:
+                del out[e]
+        if len(out) > max_terms:
+            raw[0] = remaining
+            raise BudgetExceededError(
+                "max_terms", f"product exceeded {max_terms} terms")
     raw[0] = remaining
     return out
 
@@ -217,25 +187,19 @@ def submul_terms(rem, e0, c0, b, p, raw):
     Charged len(b) raw products, like a product with one-term factor."""
     remaining = _charge(raw, len(b))
     touched = []
-    if p:
-        for eb, cb in b.items():
-            e = _checked_add(e0, eb)
-            v = (rem.get(e, 0) - c0 * cb) % p
-            if v:
-                rem[e] = v
-                touched.append(e)
-            elif e in rem:
-                del rem[e]
-    else:
-        for eb, cb in b.items():
-            e = _checked_add(e0, eb)
-            old = rem.get(e)
-            v = -(c0 * cb) if old is None else old - c0 * cb
-            if v:
-                rem[e] = v
-                touched.append(e)
-            elif e in rem:
-                del rem[e]
+    get = rem.get
+    neg = -c0
+    for eb, cb in b.items():
+        e = _checked_add(e0, eb)
+        old = get(e)
+        v = neg * cb if old is None else old + neg * cb
+        if p:
+            v %= p
+        if v:
+            rem[e] = v
+            touched.append(e)
+        elif old is not None:
+            del rem[e]
     raw[0] = remaining
     return touched
 

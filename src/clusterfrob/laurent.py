@@ -326,13 +326,6 @@ class LaurentPoly:
                     "max_terms", "division remainder grew past the budget")
         return LaurentPoly(field, self.n, quotient)
 
-    def divides(self, other: "LaurentPoly") -> bool:
-        try:
-            other.exact_divide(self)
-            return True
-        except NotDivisibleError:
-            return False
-
     # -- calculus and substitution --------------------------------------------
 
     def partial_derivative(self, i: int) -> "LaurentPoly":
@@ -347,12 +340,11 @@ class LaurentPoly:
             a = e[i]
             if a == 0:
                 continue
+            v = a * c
             if p:
-                v = a % p * c % p
-                if not v:
-                    continue
-            else:
-                v = a * c
+                v %= p
+            if not v:
+                continue
             e2 = list(e)
             e2[i] = a - 1
             out[tuple(e2)] = v
@@ -537,10 +529,6 @@ class RationalExpr:
     @classmethod
     def constant(cls, field, n: int, value) -> "RationalExpr":
         return cls(LaurentPoly.constant(field, n, value))
-
-    @classmethod
-    def variable(cls, field, n: int, i: int) -> "RationalExpr":
-        return cls(LaurentPoly.variable(field, n, i))
 
     @property
     def field(self):

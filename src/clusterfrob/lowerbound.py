@@ -1,8 +1,8 @@
 """Splitting of the presented lower-bound algebra.
 
-For an initial seed on n vertices, the algebra generated by the cluster
-variables and their first mutations is presented on 2n polynomial
-variables x_1..x_n, y_1..y_n by the ideal with generators
+For a seed on n vertices, read in its own cluster, the algebra generated
+by the cluster variables and their first mutations is presented on 2n
+polynomial variables x_1..x_n, y_1..y_n by the ideal with generators
     g_i = x_i * y_i - p_i^+ - p_i^-        (one per vertex),
 where p_i^+/- are the exchange monomials of the quiver.  With
 f = g_1 * ... * g_n, the map
@@ -61,9 +61,8 @@ class LowerBoundPresentation:
 
 
 def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
-    """Build the presentation from an initial seed (identity cluster)."""
-    if not seed.is_initial():
-        raise ValueError("the lower-bound presentation needs an initial seed")
+    """Build the presentation of a seed, read in its own cluster: it
+    depends only on the quiver, so any seed with that quiver gives it."""
     fld, n = seed.field, seed.n
     nn = 2 * n
     gens = []

@@ -214,8 +214,3 @@ def load_quiver_text(text: str, source: str = "<quiver>") -> Quiver:
             f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return quiver_from_dict(data, source)
-
-
-def load_quiver_file(path) -> Quiver:
-    with open(path, encoding="utf-8") as fh:
-        return load_quiver_text(fh.read(), source=str(path))

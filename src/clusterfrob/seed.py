@@ -3,8 +3,9 @@ variables.
 
 Every cluster variable is stored as its Laurent expansion relative to the
 initial cluster, so mutation itself witnesses the Laurent phenomenon: the
-exchange division must come out exact at every step, and a failure is a bug
-(LaurentViolationError), never a property of the input.
+exchange division must come out exact at every step, and from a quiver's
+initial seed a failure is a bug (LaurentViolationError).  A seed built
+from given `vars` can fail it when they are not a cluster of the quiver.
 
 A change of cluster is a sequence of one-variable substitutions
 z_k -> N_k / z_k, one per mutation along the path (`cluster_substitution`
@@ -57,10 +58,6 @@ class Seed:
         """Equality of quiver and cluster, ignoring the recorded path."""
         return self.quiver == other.quiver and self.vars == other.vars
 
-    def is_initial(self) -> bool:
-        return all(v == LaurentPoly.variable(self.field, self.n, i)
-                   for i, v in enumerate(self.vars))
-
     # -- exchange -----------------------------------------------------------
 
     def exchange_monomials(self, k: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -89,7 +86,7 @@ class Seed:
         except NotDivisibleError as exc:
             raise LaurentViolationError(
                 f"mutation at {k} produced a non-Laurent variable; "
-                f"this is a bug") from exc
+                f"this is a bug", k) from exc
         new_vars = list(self.vars)
         new_vars[k] = new_var
         return Seed(self.quiver.mutate(k), tuple(new_vars), self.path + (k,))

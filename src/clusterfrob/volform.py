@@ -9,10 +9,8 @@ through the arithmetic kernel instead of trusting the algebra."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VerificationFailedError
-from .laurent import LaurentPoly, RationalExpr
+from .laurent import LaurentPoly
 from .seed import Seed, cluster_substitution
 
 
@@ -37,19 +35,3 @@ def mutation_path_sign(seed: Seed, path) -> int:
                 f"residue {residue.render()}")
         sign = -sign
     return sign
-
-
-@dataclass(frozen=True)
-class LogVolumeForm:
-    """The log volume form of a chart, recorded relative to the initial
-    chart: coefficient is the constant (-1)^(path length)."""
-
-    chart: Seed
-    coefficient: RationalExpr
-    sign: int
-
-    @classmethod
-    def at(cls, seed: Seed) -> "LogVolumeForm":
-        sign = -1 if len(seed.path) % 2 else 1
-        coeff = RationalExpr.constant(seed.field, seed.n, sign)
-        return cls(seed, coeff, sign)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from clusterfrob import LaurentPoly, NotDivisibleError
 from clusterfrob.cli import main
 
 
@@ -167,6 +168,55 @@ def test_seed_file_with_vars(tmp_path, capsys):
     code, out, _ = run(capsys, "mutate", "--quiver", str(path), "--at", "1")
     assert code == 0
     assert "witness x1: x1" in out  # mutating back recovers x1
+
+
+def test_lowerbound_reads_a_seed_file_with_vars(tmp_path, capsys):
+    # the presentation depends only on the quiver
+    bare = tmp_path / "bare.quiver"
+    bare.write_text('{"n": 2, "arrows": [[2, 1, 1]]}')
+    shifted = tmp_path / "shifted.quiver"
+    shifted.write_text(json.dumps({
+        "n": 2, "arrows": [[2, 1, 1]],
+        "vars": ["x1^-1*x2 + x1^-1", "x2"],
+    }))
+    outs = []
+    for path in (bare, shifted):
+        code, out, _ = run(capsys, "lowerbound", "--quiver", str(path),
+                           "--prime", "3", "--check", "compat")
+        assert code == 0
+        outs.append(out.replace(str(path), "F"))
+    assert outs[0] == outs[1]
+    assert "input quiver: F\n" in outs[0]
+
+
+@pytest.mark.parametrize("argv,check", [
+    (("mutate", "--at", "1"), "laurent-at-every-step"),
+    (("explore", "--depth", "3"), "exchange-graph-walk"),
+], ids=["mutate", "explore"])
+def test_vars_not_a_cluster_fail_the_certificate(tmp_path, capsys, argv,
+                                                 check):
+    path = tmp_path / "not-a-cluster.quiver"
+    path.write_text(json.dumps({
+        "n": 2, "arrows": [[1, 2, 1]], "vars": ["x1 + x2", "x2"],
+    }))
+    code, out, err = run(capsys, argv[0], "--quiver", str(path), *argv[1:])
+    assert code == 1
+    assert (f"check {check}: FAIL (mutation at vertex 1 is not Laurent: "
+            "the file's vars are not a cluster of its quiver)") in out
+    assert out.rstrip().endswith("result: FAIL")
+    assert "bug" not in out + err
+
+
+def test_non_laurent_mutation_of_a_quiver_seed_is_a_bug(capsys, monkeypatch):
+    def refuse(self, divisor):
+        raise NotDivisibleError("refused")
+
+    monkeypatch.setattr(LaurentPoly, "exact_divide", refuse)
+    code, out, err = run(capsys, "mutate", "--quiver", "a2", "--at", "1")
+    assert code == 1
+    assert out == ""
+    assert "error: mutation at 0 produced a non-Laurent variable; " \
+        "this is a bug" in err
 
 
 def test_bad_vars_in_file(tmp_path, capsys):

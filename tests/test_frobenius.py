@@ -10,9 +10,8 @@ from clusterfrob import (GF, FieldMismatchError, LaurentPoly,
                          MutationAtFrozenError, NotAcyclicError,
                          RationalExpr, SplittingMap, corpus, freg_witness_sink,
                          frobenius, hom_generator, initial_seed,
-                         iterate_split, split_apply,
-                         splitting_invariance_check, standard_split,
-                         verify_test_element)
+                         split_apply, splitting_invariance_check,
+                         standard_split)
 
 
 def lp(field, n, terms):
@@ -104,15 +103,6 @@ def test_split_apply_standard_twist_checks_arity():
         split_apply(m, LaurentPoly.variable(GF(3), 3, 0))
 
 
-def test_iterate_split_matches_single_rounds():
-    m = SplittingMap.standard(3, 1, 1)
-    f = lp(GF(3), 1, [((9,), 1), ((3,), 1), ((0,), 1)])
-    twice = iterate_split(m, f, 2)
-    assert twice.equals(split_apply(m, split_apply(m, f)))
-    with pytest.raises(ValueError):
-        iterate_split(m, f, 0)
-
-
 def test_twist_changes_the_map():
     fld = GF(3)
     x = LaurentPoly.variable(fld, 1, 0)
@@ -120,14 +110,6 @@ def test_twist_changes_the_map():
     m = SplittingMap(3, 1, twist)
     assert split_apply(m, LaurentPoly.one(fld, 1)).equals(
         RationalExpr(x))
-
-
-def test_verify_test_element():
-    m = SplittingMap.standard(3, 1, 1)
-    one = LaurentPoly.one(GF(3), 1)
-    x = LaurentPoly.variable(GF(3), 1, 0)
-    assert verify_test_element(one, m)
-    assert not verify_test_element(x, m)
 
 
 def test_splitting_map_validates():

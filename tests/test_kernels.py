@@ -192,6 +192,13 @@ def test_mul_split_overflow_guard():
 # -- one-term factors: the shift path ---------------------------------------
 
 
+def reduced(out, p):
+    """A plain dict of sums, reduced mod p, with its zeros dropped."""
+    if p:
+        out = {e: c % p for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
 def schoolbook(a, b, p):
     """Every pair multiplied and summed in a plain dict."""
     out = {}
@@ -199,9 +206,15 @@ def schoolbook(a, b, p):
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
-    if p:
-        out = {e: c % p for e, c in out.items()}
-    return {e: c for e, c in out.items() if c}
+    return reduced(out, p)
+
+
+def plain_sum(a, b, p, scale=1):
+    """a + scale * b in a plain dict."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + scale * c
+    return reduced(out, p)
 
 
 @st.composite
@@ -256,6 +269,58 @@ def test_mul_one_term_factor_overflow_guard(p):
         with pytest.raises(OverflowError):
             kernels.mul_terms(x, y, p, 10**6, allowance)
         assert allowance[0] == 10  # as in the general row: nothing charged
+
+
+# -- every accumulation loop against a plain dict ----------------------------
+
+
+@st.composite
+def term_cases(draw):
+    """Multi-term a and b; b sometimes holds the negations of some terms
+    of a, so that sums cancel.  Also a row c0 * x^e0 for submul, which is
+    sometimes -1, so that the row cancels against those negations."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-4, max_value=4)] * nvars)
+    if p:
+        coeffs = st.integers(min_value=1, max_value=p - 1)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9,
+                              max_denominator=5).filter(bool)
+    a = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=12))
+    b = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=12))
+    for e in draw(st.sets(st.sampled_from(sorted(a)))):
+        b[e] = (-a[e]) % p if p else -a[e]
+    minus_one = p - 1 if p else Fraction(-1)
+    e0 = draw(st.one_of(st.just((0,) * nvars), exps))
+    c0 = draw(st.one_of(st.just(minus_one), coeffs))
+    return p, a, b, e0, c0
+
+
+def assert_canonical(terms, p):
+    for c in terms.values():
+        if p:
+            assert type(c) is int and 1 <= c < p
+        else:
+            assert type(c) is Fraction and c != 0
+
+
+@given(term_cases())
+def test_kernels_match_plain_dicts(case):
+    p, a, b, e0, c0 = case
+    add = kernels.add_terms(a, b, p)
+    sub = kernels.sub_terms(a, b, p)
+    mul = kernels.mul_terms(a, b, p, 10**6, fresh())
+    assert add == plain_sum(a, b, p)
+    assert sub == plain_sum(a, b, p, -1)
+    assert mul == schoolbook(a, b, p)
+    assert kernels.mul_terms(b, a, p, 10**6, fresh()) == mul
+    rem = dict(a)
+    touched = kernels.submul_terms(rem, e0, c0, b, p, fresh())
+    assert rem == plain_sum(a, schoolbook({e0: c0}, b, p), p, -1)
+    assert set(touched) == set(rem) & set(schoolbook({e0: 1}, b, p))
+    for out in (add, sub, mul, rem):
+        assert_canonical(out, p)
 
 
 def test_scale_shift():

@@ -277,13 +277,6 @@ def test_divide_by_cancellation_guards_quotient_exponents(field):
         num.exact_divide(den)
 
 
-def test_divides_predicate():
-    num = lp(QQ, 2, [((2, 0), 1), ((0, 2), -1)])
-    den = lp(QQ, 2, [((1, 0), 1), ((0, 1), -1)])
-    assert den.divides(num)
-    assert not num.divides(den)
-
-
 @given(polys(QQ, 2, 5), polys(QQ, 2, 5))
 def test_division_roundtrip_qq(a, b):
     if b.is_zero():

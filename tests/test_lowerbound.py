@@ -56,10 +56,18 @@ def test_generators_a2():
     assert pres.gens == (g1, g2)
 
 
-def test_generators_require_initial_seed():
-    s = initial_seed(corpus.load("a2"), GF(3)).mutate(0)
-    with pytest.raises(ValueError):
-        lower_bound_generators(s)
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("name", ["a2", "a3", "markov", "cycle3-frozen"])
+def test_generators_read_any_seed_through_its_quiver(name, p):
+    # the presentation depends only on the quiver, so a mutated seed gives
+    # the one of the initial seed of its (mutated) quiver
+    s = initial_seed(corpus.load(name), GF(p)).mutate(0)
+    pres = lower_bound_generators(s)
+    ref = lower_bound_generators(initial_seed(s.quiver, GF(p)))
+    assert (pres.gens, pres.f, pres.xprime) == (ref.gens, ref.f, ref.xprime)
+    assert verify_lb_splitting(pres, p)
+    assert localization_identity_check(pres)
+    assert compat_check(pres, p, degree_bounded_monomials(2 * s.n, 2)).ok
 
 
 def test_generators_uniform_over_frozen():

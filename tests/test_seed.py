@@ -87,8 +87,8 @@ def test_initial_seed_variables_are_coordinates():
     s = seed_for("a2")
     assert s.vars == (LaurentPoly.variable(QQ, 2, 0),
                       LaurentPoly.variable(QQ, 2, 1))
-    assert s.is_initial()
-    assert not s.mutate(0).is_initial()
+    assert s.same_state(initial_seed(s.quiver, QQ))
+    assert not s.mutate(0).same_state(initial_seed(s.mutate(0).quiver, QQ))
     assert s.path == ()
 
 
@@ -140,8 +140,8 @@ def test_mutation_involution_on_state():
     twice = s.mutate(1).mutate(1)
     assert twice.same_state(s)
     assert twice.path == (1, 1)
-    # is_initial looks at the state, not the path taken to reach it
-    assert twice.is_initial()
+    # same_state looks at the state, not the path taken to reach it
+    assert twice.same_state(initial_seed(twice.quiver, QQ))
 
 
 def test_frozen_variables_never_change():

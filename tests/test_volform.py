@@ -2,9 +2,8 @@
 
 import pytest
 
-from clusterfrob import (GF, QQ, LogVolumeForm, MutationAtFrozenError, corpus,
-                         initial_seed, mutation_path_sign,
-                         volume_form_mutation_sign)
+from clusterfrob import (GF, QQ, MutationAtFrozenError, corpus, initial_seed,
+                         mutation_path_sign, volume_form_mutation_sign)
 
 
 def test_single_mutation_sign_is_minus_one():
@@ -41,13 +40,3 @@ def test_path_sign_downstream_charts():
     seed = initial_seed(corpus.load("markov"), GF(5))
     assert mutation_path_sign(seed, [0, 1, 0, 2]) == 1
     assert mutation_path_sign(seed, [2, 1, 2]) == -1
-
-
-def test_log_volume_form_record():
-    seed = initial_seed(corpus.load("a2"), QQ).mutate(0).mutate(1)
-    form = LogVolumeForm.at(seed)
-    assert form.sign == 1
-    assert form.coefficient.is_one()
-    assert form.chart is seed
-    odd = LogVolumeForm.at(initial_seed(corpus.load("a2"), QQ).mutate(1))
-    assert odd.sign == -1
