@@ -20,7 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from clusterfrob import (GF, LaurentPoly, corpus,  # noqa: E402
+from clusterfrob import (GF, QQ, LaurentPoly, corpus,  # noqa: E402
                          initial_seed, kernels)
 from clusterfrob.lowerbound import lower_bound_generators  # noqa: E402
 
@@ -51,7 +51,14 @@ def gf_coeff(rng):
 
 
 def qq_coeff(rng):
-    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+    """A fractional QQ coefficient in canonical form: the draws that come
+    out integral are ints, as the kernels keep them."""
+    return QQ.coerce(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)))
+
+
+def qq_int_coeff(rng):
+    """An integral QQ coefficient, the kind every cluster variable has."""
+    return rng.randint(-9, 9) or 1
 
 
 def psi_factors(name, p):
@@ -84,9 +91,12 @@ def micro_rows(repeat):
     b_gf = box_poly(14, 2, gf_coeff)        # 196 terms
     a_qq = box_poly(12, 2, qq_coeff)        # 144 terms
     b_qq = box_poly(10, 2, qq_coeff)        # 100 terms
+    a_int = box_poly(12, 2, qq_int_coeff)   # 144 terms
+    b_int = box_poly(10, 2, qq_int_coeff)   # 100 terms
     a_line = line_poly(600, gf_coeff)       # quadratic work, few terms
     prod_gf = kernels.mul_terms(a_gf, b_gf, 5, 10**6, list(PLENTY))
     prod_qq = kernels.mul_terms(a_qq, b_qq, 0, 10**6, list(PLENTY))
+    prod_int = kernels.mul_terms(a_int, b_int, 0, 10**6, list(PLENTY))
     fpow, f = psi_factors("a3", 5)
     psi_rows = f"{len(fpow)}x{len(f)}"
     mono = {(3, -2): 2}
@@ -103,16 +113,22 @@ def micro_rows(repeat):
     rows = [
         ("mul GF(5) 256x196 box", lambda: kernels.mul_terms(
             a_gf, b_gf, 5, 10**6, list(PLENTY))),
-        ("mul QQ 144x100 box", lambda: kernels.mul_terms(
+        ("mul QQ 144x100 box, fractional", lambda: kernels.mul_terms(
             a_qq, b_qq, 0, 10**6, list(PLENTY))),
+        ("mul QQ 144x100 box, int", lambda: kernels.mul_terms(
+            a_int, b_int, 0, 10**6, list(PLENTY))),
         ("mul GF(5) 600-term line", lambda: kernels.mul_terms(
             a_line, a_line, 5, 10**6, list(PLENTY))),
         ("mul GF(5) 1x256 one-term factor", lambda: kernels.mul_terms(
             mono, a_gf, 5, 10**6, list(PLENTY))),
         ("add GF(5) 256+196", lambda: kernels.add_terms(a_gf, b_gf, 5)),
-        ("add QQ 144+100", lambda: kernels.add_terms(a_qq, b_qq, 0)),
+        ("add QQ 144+100, fractional",
+         lambda: kernels.add_terms(a_qq, b_qq, 0)),
         ("submul GF(5) x40", lambda: div_workload(prod_gf, a_gf, b_gf, 5)),
-        ("submul QQ x40", lambda: div_workload(prod_qq, a_qq, b_qq, 0)),
+        ("submul QQ x40, fractional",
+         lambda: div_workload(prod_qq, a_qq, b_qq, 0)),
+        ("submul QQ x40, int",
+         lambda: div_workload(prod_int, a_int, b_int, 0)),
         (f"psi split a3 p=5 {psi_rows} fused", lambda: kernels.mul_split_terms(
             fpow, f, 5, 5, 4, 10**6, list(PLENTY))),
         (f"psi split a3 p=5 {psi_rows} mul+filter",

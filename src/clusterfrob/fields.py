@@ -1,9 +1,12 @@
 """Coefficient fields: the rationals and prime fields.
 
-Coefficients are plain Python values, not wrapper objects: Fraction over QQ
-(always reduced, positive denominator) and canonical residues 0 <= c < p over
-GF(p).  The field objects only coerce, invert and render; the arithmetic
-kernels branch on `field.char` and work on the raw values directly.
+Coefficients are plain Python values, not wrapper objects.  Over QQ a
+coefficient is an int while it is integral and a reduced Fraction (positive
+denominator > 1) otherwise, never a float; ints and Fractions mix through
+Python's numeric tower, so one arithmetic path serves both.  Over GF(p) it
+is the canonical residue 0 <= c < p.  The field objects only coerce, invert
+and render; the arithmetic kernels branch on `field.char` and work on the
+raw values directly.
 """
 
 from __future__ import annotations
@@ -40,30 +43,38 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def qq_canonical(c):
+    """The canonical form of a QQ value: an integral Fraction becomes its
+    int; an int or a non-integral Fraction is returned as it is."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 class RationalField:
     """The field QQ; a singleton, exposed as fields.QQ."""
 
     char = 0
     name = "QQ"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, value):
-        if type(value) is Fraction:
-            return value
+        """`value` in canonical form: an int when integral, else a
+        reduced Fraction.  Floats are refused."""
         if isinstance(value, int):
-            return Fraction(value)
+            return int(value)
         if isinstance(value, (str, Fraction)):
-            return Fraction(value)
+            return qq_canonical(Fraction(value))
         raise TypeError(f"cannot coerce {value!r} into QQ")
 
-    def invert(self, c: Fraction) -> Fraction:
+    def invert(self, c):
         if not c:
             raise ZeroDivisionError("inverse of 0 in QQ")
-        return 1 / Fraction(c)
+        return qq_canonical(1 / Fraction(c))
 
-    def render(self, c: Fraction) -> str:
+    def render(self, c) -> str:
         return str(c)
 
     def __repr__(self):

@@ -4,11 +4,14 @@ splitting keeps (the psi map of `lowerbound` runs on it, through
 `LaurentPoly.mul_split`).
 
 A polynomial is a dict mapping exponent tuples (ints) to nonzero
-coefficients.  `p == 0` means object coefficients (Fraction over QQ);
-`p > 0` means canonical residues mod p.
+coefficients.  `p == 0` means QQ: an int while the coefficient is
+integral, a reduced Fraction otherwise.  `p > 0` means canonical residues
+mod p.
 
 Each kernel has one accumulation loop for both fields, which differ only
-in its reduction line, `if p: v %= p`; a sum that cancels deletes its key.
+in its reduction step: `v %= p` over GF(p), and over QQ an integral
+Fraction becomes its int.  Ints and Fractions go through the same lines
+by Python's numeric tower.  A sum that cancels deletes its key.
 
 Inside the package only `laurent` calls these kernels, and no other
 module knows the term format.
@@ -34,7 +37,10 @@ OverflowError.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import BudgetExceededError
+from .fields import qq_canonical
 
 _EXP_MAX = 2**63 - 1
 _EXP_MIN = -(2**63)
@@ -56,6 +62,8 @@ def add_terms(a, b, p):
         v = c if old is None else old + c
         if p:
             v %= p
+        elif type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
         if v:
             out[e] = v
         elif old is not None:
@@ -115,6 +123,8 @@ def mul_terms(a, b, p, max_terms, raw):
             v = ca * cb if old is None else old + ca * cb
             if p:
                 v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
             if v:
                 out[e] = v
             elif old is not None:
@@ -179,7 +189,7 @@ def scale_shift_terms(a, e0, c0, p):
         return {_checked_add(e0, e): c for e, c in a.items()}
     if p:
         return {_checked_add(e0, e): c0 * c % p for e, c in a.items()}
-    return {_checked_add(e0, e): c0 * c for e, c in a.items()}
+    return {_checked_add(e0, e): qq_canonical(c0 * c) for e, c in a.items()}
 
 
 def submul_terms(rem, e0, c0, b, p, raw):
@@ -195,6 +205,8 @@ def submul_terms(rem, e0, c0, b, p, raw):
         v = neg * cb if old is None else old + neg * cb
         if p:
             v %= p
+        elif type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
         if v:
             rem[e] = v
             touched.append(e)

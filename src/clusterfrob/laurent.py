@@ -32,15 +32,16 @@ from typing import Iterator, Mapping
 
 from . import budgets, kernels
 from .errors import FieldMismatchError, NotDivisibleError, BudgetExceededError
-from .fields import require_same_field
+from .fields import qq_canonical, require_same_field
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in n variables.
 
-    `terms` maps exponent tuples of length n to nonzero coefficients
-    (Fraction over QQ, canonical residues over GF(p)).  Use the
-    classmethod constructors; the raw __init__ trusts its input.
+    `terms` maps exponent tuples of length n to nonzero coefficients:
+    over QQ an int while integral and a reduced Fraction otherwise, over
+    GF(p) canonical residues.  Use the classmethod constructors; the raw
+    __init__ trusts its input.
     """
 
     __slots__ = ("field", "n", "terms", "_hash")
@@ -72,6 +73,8 @@ class LaurentPoly:
             c = c if old is None else old + c
             if field.char:
                 c %= field.char
+            elif type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             if c:
                 terms[e] = c
             elif old is not None:
@@ -313,7 +316,7 @@ class LaurentPoly:
             if any(not lo[i] <= et[i] <= hi[i] for i in range(self.n)):
                 raise NotDivisibleError(
                     "no quotient: leading term leaves the support box")
-            ct = cr * cb_inv % p if p else cr * cb_inv
+            ct = cr * cb_inv % p if p else qq_canonical(cr * cb_inv)
             quotient[et] = ct
             touched = kernels.submul_terms(rem, et, ct, divisor.terms, p, raw)
             for e in touched:
@@ -343,6 +346,8 @@ class LaurentPoly:
             v = a * c
             if p:
                 v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
             if not v:
                 continue
             e2 = list(e)
@@ -476,6 +481,8 @@ def parse_laurent(text: str, n: int, field) -> LaurentPoly:
             token = m.group("num")
             if field.char and "/" in token:
                 raise fail(f"fractional coefficient {token!r} over {field!r}")
+            if "/" in token and not int(token.partition("/")[2]):
+                raise fail(f"zero denominator in {token!r}")
             value = field.coerce(Fraction(token) if field.char == 0
                                  else int(token))
             if term_exps is None:

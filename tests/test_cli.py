@@ -337,6 +337,15 @@ def test_zero_divisor_is_usage_error(capsys, argv):
     assert "zero" in err
 
 
+def test_zero_denominator_coefficient_is_usage_error(capsys):
+    code, out, err = run(capsys, "laurent", "--vars", "2", "--op", "mul",
+                         "--lhs", "1/0*x1", "--rhs", "x2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad polynomial at offset 3: "
+                          "zero denominator in '1/0'\n")
+
+
 def test_exponent_out_of_range_is_usage_error(capsys):
     code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
                          "--lhs", f"x1^{2**63 - 1}", "--rhs", "x1")

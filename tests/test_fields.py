@@ -25,18 +25,31 @@ def test_is_prime_carmichael():
 
 
 def test_qq_coercion():
-    assert QQ.coerce(3) == Fraction(3)
+    # canonical form: an int while integral, else a reduced Fraction
+    assert QQ.coerce(3) == 3 and type(QQ.coerce(3)) is int
+    assert QQ.coerce("6/3") == 2 and type(QQ.coerce("6/3")) is int
+    assert type(QQ.coerce(Fraction(4, 2))) is int
+    assert type(QQ.coerce(True)) is int
     assert QQ.coerce("3/4") == Fraction(3, 4)
     assert QQ.coerce(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert type(QQ.coerce("-2/4")) is Fraction
+    assert (QQ.zero, QQ.one) == (0, 1)
+    assert type(QQ.zero) is int and type(QQ.one) is int
     assert QQ.char == 0
     assert QQ.name == "QQ"
+    for value in (1.5, 2.0):  # never a float, integral or not
+        with pytest.raises(TypeError):
+            QQ.coerce(value)
 
 
 def test_qq_invert():
     assert QQ.invert(Fraction(2, 3)) == Fraction(3, 2)
-    assert type(QQ.invert(2)) is Fraction
+    assert QQ.invert(2) == Fraction(1, 2) and type(QQ.invert(2)) is Fraction
+    for c, inverse in ((1, 1), (-1, -1), (Fraction(1, 3), 3),
+                       (Fraction(-1, 5), -5)):
+        assert QQ.invert(c) == inverse and type(QQ.invert(c)) is int
     with pytest.raises(ZeroDivisionError):
-        QQ.invert(Fraction(0))
+        QQ.invert(0)
 
 
 def test_gf_canonical_residues():

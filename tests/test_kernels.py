@@ -16,16 +16,10 @@ def fresh():
     return [PLENTY]
 
 
-def one(p):
-    """The coefficient 1 in the representation the kernels use for p."""
-    return 1 if p else Fraction(1)
-
-
 def test_add_merges_and_drops_zeros():
-    a = {(1, 0): Fraction(2), (0, 1): Fraction(1)}
-    b = {(1, 0): Fraction(-2), (2, 0): Fraction(5)}
-    assert kernels.add_terms(a, b, 0) == {(0, 1): Fraction(1),
-                                          (2, 0): Fraction(5)}
+    a = {(1, 0): 2, (0, 1): 1}
+    b = {(1, 0): -2, (2, 0): 5}
+    assert kernels.add_terms(a, b, 0) == {(0, 1): 1, (2, 0): 5}
 
 
 def test_mul_example_gf():
@@ -36,8 +30,8 @@ def test_mul_example_gf():
 
 
 def test_mul_respects_term_budget():
-    a = {(i,): Fraction(1) for i in range(40)}
-    b = {(40 * i,): Fraction(1) for i in range(40)}
+    a = {(i,): 1 for i in range(40)}
+    b = {(40 * i,): 1 for i in range(40)}
     with pytest.raises(BudgetExceededError) as err:
         kernels.mul_terms(a, b, 0, 100, fresh())
     assert err.value.budget == "max_terms"
@@ -47,7 +41,7 @@ def test_mul_respects_term_budget():
 def test_mul_respects_raw_product_budget(p):
     # 40 x 40 = 1600 pairwise products but only 79 distinct result terms,
     # so the term cap alone would never fire.
-    a = {(i,): one(p) for i in range(40)}
+    a = {(i,): 1 for i in range(40)}
     with pytest.raises(BudgetExceededError) as err:
         kernels.mul_terms(a, a, p, 10**6, [1000])
     assert err.value.budget == "max_raw_products"
@@ -57,7 +51,7 @@ def test_mul_respects_raw_product_budget(p):
 
 
 def test_raw_allowance_is_cumulative_inside_meter():
-    a = {(i,): Fraction(1) for i in range(10)}
+    a = {(i,): 1 for i in range(10)}
     with budgets.raw_meter(150) as meter:
         kernels.mul_terms(a, a, 0, 10**6, meter)  # costs 100
         assert meter[0] == 50
@@ -68,7 +62,7 @@ def test_raw_allowance_is_cumulative_inside_meter():
 
 
 def test_raw_allowance_fresh_outside_meter():
-    a = {(i,): Fraction(1) for i in range(10)}
+    a = {(i,): 1 for i in range(10)}
     with budgets.limits(max_raw_products=150):
         # Each bare call draws a fresh allowance, so both succeed.
         kernels.mul_terms(a, a, 0, 10**6, budgets.raw_allowance())
@@ -103,7 +97,7 @@ def test_mul_term_budget_charges_the_whole_work():
 
 def test_exponent_overflow_guard():
     big = 2**62
-    a = {(big,): Fraction(1)}
+    a = {(big,): 1}
     with pytest.raises(OverflowError):
         kernels.mul_terms(a, a, 0, 10**6, fresh())
 
@@ -217,16 +211,26 @@ def plain_sum(a, b, p, scale=1):
     return reduced(out, p)
 
 
+def field_coeffs(p):
+    """Nonzero coefficients in the kernels' canonical form: residues
+    1..p-1 over GF(p); over QQ ints, and Fractions with denominator > 1,
+    halves among them, so that sums and products such as 1/2 + 1/2 and
+    2 * 1/2 come out integral."""
+    if p:
+        return st.integers(min_value=1, max_value=p - 1)
+    return st.one_of(
+        st.integers(min_value=-9, max_value=9).filter(bool),
+        st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]),
+        st.fractions(min_value=-9, max_value=9, max_denominator=5)
+        .filter(lambda c: c.denominator > 1))
+
+
 @st.composite
 def shift_cases(draw):
     p = draw(st.sampled_from([0, 2, 3, 5]))
     nvars = draw(st.integers(min_value=1, max_value=3))
     exps = st.tuples(*[st.integers(min_value=-9, max_value=9)] * nvars)
-    if p:
-        coeffs = st.integers(min_value=1, max_value=p - 1)
-    else:
-        coeffs = st.fractions(min_value=-9, max_value=9,
-                              max_denominator=5).filter(bool)
+    coeffs = field_coeffs(p)
     a = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=1))
     b = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=20))
     return p, a, b
@@ -238,7 +242,9 @@ def test_mul_one_term_factor_matches_schoolbook(case):
     want = schoolbook(a, b, p)
     for x, y in ((a, b), (b, a)):
         allowance = [len(b) + 7]
-        assert kernels.mul_terms(x, y, p, 10**6, allowance) == want
+        out = kernels.mul_terms(x, y, p, 10**6, allowance)
+        assert out == want
+        assert_canonical(out, p)
         assert allowance[0] == 7
 
 
@@ -262,8 +268,8 @@ def test_mul_one_term_factor_budgets_match_general_row(case):
 
 @pytest.mark.parametrize("p", [0, 5])
 def test_mul_one_term_factor_overflow_guard(p):
-    a = {(2**62,): one(p)}
-    b = {(0,): one(p), (2**62,): one(p)}
+    a = {(2**62,): 1}
+    b = {(0,): 1, (2**62,): 1}
     for x, y in ((a, b), (b, a)):
         allowance = [10]
         with pytest.raises(OverflowError):
@@ -277,32 +283,35 @@ def test_mul_one_term_factor_overflow_guard(p):
 @st.composite
 def term_cases(draw):
     """Multi-term a and b; b sometimes holds the negations of some terms
-    of a, so that sums cancel.  Also a row c0 * x^e0 for submul, which is
+    of a, so that sums cancel, and copies of others, so that sums of
+    halves come out integral.  Also a row c0 * x^e0 for submul, which is
     sometimes -1, so that the row cancels against those negations."""
     p = draw(st.sampled_from([0, 2, 3, 5]))
     nvars = draw(st.integers(min_value=1, max_value=3))
     exps = st.tuples(*[st.integers(min_value=-4, max_value=4)] * nvars)
-    if p:
-        coeffs = st.integers(min_value=1, max_value=p - 1)
-    else:
-        coeffs = st.fractions(min_value=-9, max_value=9,
-                              max_denominator=5).filter(bool)
+    coeffs = field_coeffs(p)
     a = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=12))
     b = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=12))
     for e in draw(st.sets(st.sampled_from(sorted(a)))):
         b[e] = (-a[e]) % p if p else -a[e]
-    minus_one = p - 1 if p else Fraction(-1)
+    for e in draw(st.sets(st.sampled_from(sorted(a)))):
+        b[e] = a[e]  # over QQ, 1/2 + 1/2 is the int 1
+    minus_one = p - 1 if p else -1
     e0 = draw(st.one_of(st.just((0,) * nvars), exps))
     c0 = draw(st.one_of(st.just(minus_one), coeffs))
     return p, a, b, e0, c0
 
 
 def assert_canonical(terms, p):
+    """Residues 1..p-1 over GF(p); over QQ a nonzero int, or a Fraction
+    that is not integral.  Never a float."""
     for c in terms.values():
         if p:
             assert type(c) is int and 1 <= c < p
+        elif type(c) is int:
+            assert c != 0
         else:
-            assert type(c) is Fraction and c != 0
+            assert type(c) is Fraction and c.denominator > 1, repr(c)
 
 
 @given(term_cases())
@@ -315,11 +324,13 @@ def test_kernels_match_plain_dicts(case):
     assert sub == plain_sum(a, b, p, -1)
     assert mul == schoolbook(a, b, p)
     assert kernels.mul_terms(b, a, p, 10**6, fresh()) == mul
+    shift = kernels.scale_shift_terms(b, e0, c0, p)
+    assert shift == schoolbook({e0: c0}, b, p)
     rem = dict(a)
     touched = kernels.submul_terms(rem, e0, c0, b, p, fresh())
-    assert rem == plain_sum(a, schoolbook({e0: c0}, b, p), p, -1)
-    assert set(touched) == set(rem) & set(schoolbook({e0: 1}, b, p))
-    for out in (add, sub, mul, rem):
+    assert rem == plain_sum(a, shift, p, -1)
+    assert set(touched) == set(rem) & set(shift)
+    for out in (add, sub, mul, shift, rem):
         assert_canonical(out, p)
 
 
@@ -331,25 +342,48 @@ def test_scale_shift():
     assert kernels.neg_terms(out, 7) == {(3, 0): 1, (2, 1): 6}
 
 
+def test_qq_values_that_become_integral_are_ints():
+    half = Fraction(1, 2)
+    cases = [
+        kernels.add_terms({(1,): half}, {(1,): half, (0,): half}, 0),
+        kernels.mul_terms({(0,): 2, (1,): 4}, {(0,): half, (2,): half}, 0,
+                          10**6, fresh()),
+        kernels.mul_terms({(0,): 2}, {(0,): half, (2,): Fraction(3, 2)}, 0,
+                          10**6, fresh()),
+        kernels.scale_shift_terms({(1,): half, (0,): 1}, (1,), 4, 0),
+    ]
+    rem = {(2,): half, (1,): Fraction(5, 2)}
+    kernels.submul_terms(rem, (1,), half, {(1,): -1, (0,): 1}, 0, fresh())
+    cases.append(rem)
+    assert cases == [
+        {(1,): 1, (0,): half},
+        {(0,): 1, (2,): 1, (1,): 2, (3,): 2},
+        {(0,): 1, (2,): 3},
+        {(2,): 2, (1,): 4},
+        {(2,): 1, (1,): 2},
+    ]
+    for out in cases:
+        assert_canonical(out, 0)
+
+
 def test_submul_updates_in_place():
-    rem = {(2,): Fraction(1), (1,): Fraction(1)}
-    touched = kernels.submul_terms(rem, (1,), Fraction(1),
-                                   {(1,): Fraction(1)}, 0, fresh())
-    assert rem == {(1,): Fraction(1)}
+    rem = {(2,): 1, (1,): 1}
+    touched = kernels.submul_terms(rem, (1,), 1, {(1,): 1}, 0, fresh())
+    assert rem == {(1,): 1}
     assert set(touched) <= set(rem)
 
 
 @pytest.mark.parametrize("p", [0, 5])
 def test_submul_charges_raw_allowance(p):
-    rem = {(2,): one(p)}
-    b = {(i,): one(p) for i in range(5)}
+    rem = {(2,): 1}
+    b = {(i,): 1 for i in range(5)}
     allowance = [12]
-    kernels.submul_terms(rem, (0,), one(p), b, p, allowance)
+    kernels.submul_terms(rem, (0,), 1, b, p, allowance)
     assert allowance[0] == 7
-    kernels.submul_terms(rem, (1,), one(p), b, p, allowance)
+    kernels.submul_terms(rem, (1,), 1, b, p, allowance)
     assert allowance[0] == 2
     with pytest.raises(BudgetExceededError) as err:
-        kernels.submul_terms(rem, (2,), one(p), b, p, allowance)
+        kernels.submul_terms(rem, (2,), 1, b, p, allowance)
     assert err.value.budget == "max_raw_products"
 
 
@@ -358,8 +392,8 @@ def test_submul_overflow_leaves_the_allowance(p):
     # the range guard stops the row before it is formed: nothing charged
     allowance = [10]
     with pytest.raises(OverflowError):
-        kernels.submul_terms({}, (2**62,), one(p),
-                             {(2**62,): one(p), (0,): one(p)}, p, allowance)
+        kernels.submul_terms({}, (2**62,), 1,
+                             {(2**62,): 1, (0,): 1}, p, allowance)
     assert allowance == [10]
 
 

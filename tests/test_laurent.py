@@ -152,11 +152,20 @@ def test_divide_difference_of_squares():
 
 
 def test_divide_by_raw_int_coefficients_stays_exact():
-    # the raw constructor does not coerce, so the divisor's leading
-    # coefficient is the int 1; its inverse must still be a Fraction
+    # an integral quotient has int coefficients, never floats
     num = LaurentPoly.from_terms(QQ, 2, {(2, 0): 1, (0, 2): -1})
     q = num.exact_divide(LaurentPoly(QQ, 2, {(1, 0): 1, (0, 1): 1}))
     assert q.terms == {(1, 0): 1, (0, 1): -1}
+    assert all(type(c) is int for c in q.terms.values())
+    # a non-integral one has reduced Fractions: (x1^2 + x2) / (3*x1)
+    num = LaurentPoly.from_terms(QQ, 2, {(2, 0): 1, (0, 1): 1})
+    q = num.exact_divide(LaurentPoly.from_terms(QQ, 2, {(1, 0): 3}))
+    assert q.terms == {(1, 0): Fraction(1, 3), (-1, 1): Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in q.terms.values())
+    # and through cancellation: (x1^2 - x2^2) / (2*x1 + 2*x2)
+    num = LaurentPoly.from_terms(QQ, 2, {(2, 0): 1, (0, 2): -1})
+    q = num.exact_divide(LaurentPoly(QQ, 2, {(1, 0): 2, (0, 1): 2}))
+    assert q.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)}
     assert all(type(c) is Fraction for c in q.terms.values())
 
 
@@ -360,6 +369,40 @@ def test_leibniz_rule(a, b):
     assert lhs == rhs
 
 
+# -- canonical QQ coefficients -----------------------------------------------
+
+
+def assert_canonical_qq(f):
+    """Over QQ a coefficient is an int while it is integral, else a
+    reduced Fraction; never a float."""
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def test_qq_coefficients_are_ints_while_integral():
+    half = Fraction(1, 2)
+    f = lp(QQ, 2, [((1, 0), half), ((1, 0), "1/2"), ((0, 1), Fraction(6, 3))])
+    assert f.terms == {(1, 0): 1, (0, 1): 2}
+    g = lp(QQ, 1, [((2,), half), ((1,), "1/3")])
+    assert g.partial_derivative(0).terms == {(1,): 1, (0,): Fraction(1, 3)}
+    assert LaurentPoly.constant(QQ, 1, "4/2").terms == {(0,): 2}
+    assert (lp(QQ, 1, [((1,), 3)]) ** -1).terms == {(-1,): Fraction(1, 3)}
+    assert (lp(QQ, 1, [((1,), half)]) ** -1).terms == {(-1,): 2}
+    for h in (f, g.partial_derivative(0), g * g, f * f, g + g,
+              LaurentPoly.one(QQ, 2), lp(QQ, 1, [((1,), half)]) ** -1):
+        assert_canonical_qq(h)
+    # equal values render the same whatever their type
+    assert f.render() == "x1 + 2*x2"
+
+
+@given(polys(QQ, 2), polys(QQ, 2))
+def test_qq_results_are_canonical(a, b):
+    for f in (a, b, a + b, a - b, -a, a * b, a.partial_derivative(0)):
+        assert_canonical_qq(f)
+    if not b.is_zero():
+        assert_canonical_qq((a * b).exact_divide(b))
+
+
 # -- rendering and parsing ---------------------------------------------------
 
 
@@ -409,6 +452,8 @@ def test_parse_rejects_garbage():
         parse_laurent("", 1, QQ)
     with pytest.raises(ValueError):
         parse_laurent("3/4*x1", 1, GF(5))
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        parse_laurent("1/0*x1", 1, QQ)
 
 
 @given(polys(QQ, 3))

@@ -8,6 +8,7 @@ and double as an independent check on the walker.
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -232,6 +233,40 @@ def test_finite_type_exchange_graphs_close_with_exact_counts():
         assert (result.seed_count, result.variable_count) == \
             (clusters, variables), (kind, n)
     assert time.perf_counter() - started < 8.0
+
+
+def assert_positive_int_coefficients(variables):
+    """Every coefficient is a positive int: the Laurent phenomenon holds
+    over Z (Fomin-Zelevinsky) and the coefficients are positive
+    (Lee-Schiffler), so over QQ no cluster variable ever needs a
+    Fraction, and a float never appears."""
+    for v in variables:
+        assert v.field is QQ
+        for e, c in v:
+            assert type(c) is int and c > 0, (v.render(), e, c)
+
+
+def test_cluster_variables_have_positive_int_coefficients():
+    for kind, n in (("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4),
+                    ("D", 5)):
+        result = explore(initial_seed(dynkin(kind, n), QQ), 100)
+        assert result.closed, (kind, n)
+        assert_positive_int_coefficients(result.variables)
+    for name, path in (("markov", (0, 1, 2, 0, 1, 2)),
+                       ("markov3", (0, 1, 2))):
+        s = seed_for(name)
+        for k in path:
+            s = s.mutate(k)
+            assert_positive_int_coefficients(s.vars)
+    rng = random.Random(20260818)
+    for name in ("cycle3-frozen", "mixed-pair"):
+        s0 = seed_for(name)
+        mutable = sorted(s0.quiver.mutable)
+        for _ in range(20):
+            s = s0
+            for _ in range(rng.randint(1, 6)):
+                s = s.mutate(rng.choice(mutable))
+                assert_positive_int_coefficients(s.vars)
 
 
 def test_explore_nine_vertex_path():
