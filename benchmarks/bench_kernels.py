@@ -23,6 +23,7 @@ sys.path.insert(0, str(SRC))
 from clusterfrob import (GF, QQ, LaurentPoly, corpus,  # noqa: E402
                          initial_seed, kernels)
 from clusterfrob.lowerbound import lower_bound_generators  # noqa: E402
+from clusterfrob.showcase import markov_seed  # noqa: E402
 
 PLENTY = [10**12]
 
@@ -77,6 +78,17 @@ def unfused_split(a, b, p):
     return out
 
 
+def markov_factors():
+    """The Markov seed (a = 2) along 1,2,3,1,2, as markov_path mutates
+    it: its 65-term variable, and its next exchange, the sum
+    x1^2 + x2^2 with its divisor x3 (10 terms)."""
+    s = markov_seed(2, QQ)
+    for k in (0, 1, 2, 0, 1):
+        s = s.mutate(k)
+    x1, x2, x3 = s.vars
+    return x2, x1 * x1 + x2 * x2, x3
+
+
 def best_of(fn, repeat):
     times = []
     for _ in range(repeat):
@@ -98,17 +110,24 @@ def micro_rows(repeat):
     prod_qq = kernels.mul_terms(a_qq, b_qq, 0, 10**6, list(PLENTY))
     prod_int = kernels.mul_terms(a_int, b_int, 0, 10**6, list(PLENTY))
     fpow, f = psi_factors("a3", 5)
+    fpow_groups = kernels.residue_groups(fpow, 5)
     psi_rows = f"{len(fpow)}x{len(f)}"
+    var, exchange, divisor = markov_factors()
     mono = {(3, -2): 2}
     prod_poly = LaurentPoly(GF(5), 2, prod_gf)
     mono_poly = LaurentPoly(GF(5), 2, mono)
     div_rows = f"{len(prod_gf)}-term"
 
     def div_workload(prod, a, b, p):
-        # peel one cancellation off the product repeatedly
-        rem = dict(prod)
-        for e in sorted(a)[:40]:
-            kernels.submul_terms(rem, e, a[e], b, p, list(PLENTY))
+        # peel one cancellation off the product repeatedly, on keys
+        # packed over the product's box, as the division runs its rows
+        lo, hi = kernels.box(prod)
+        radix = kernels.radices(lo, hi)
+        rem = dict(kernels.pack_terms(prod, lo, radix))
+        row = dict(kernels.pack_terms(b, [0] * len(lo), radix))
+        for k0, c0 in kernels.pack_terms(
+                {e: a[e] for e in sorted(a)[:40]}, lo, radix):
+            kernels.submul_terms(rem, k0, c0, row, p, list(PLENTY))
 
     rows = [
         ("mul GF(5) 256x196 box", lambda: kernels.mul_terms(
@@ -129,8 +148,13 @@ def micro_rows(repeat):
          lambda: div_workload(prod_qq, a_qq, b_qq, 0)),
         ("submul QQ x40, int",
          lambda: div_workload(prod_int, a_int, b_int, 0)),
-        (f"psi split a3 p=5 {psi_rows} fused", lambda: kernels.mul_split_terms(
-            fpow, f, 5, 5, 4, 10**6, list(PLENTY))),
+        ("mul QQ markov_path variable squared "
+         f"{len(var)}x{len(var)}, merging", lambda: var * var),
+        (f"div QQ markov_path exchange {len(exchange)}-term "
+         f"by {len(divisor)}-term", lambda: exchange.exact_divide(divisor)),
+        (f"psi split a3 p=5 {psi_rows} fused, f^4 grouped",
+         lambda: kernels.mul_split_terms(f, fpow, fpow_groups, 5, 5, 4,
+                                         10**6, list(PLENTY))),
         (f"psi split a3 p=5 {psi_rows} mul+filter",
          lambda: unfused_split(fpow, f, 5)),
         (f"div GF(5) {div_rows} by monomial shift",

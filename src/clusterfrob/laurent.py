@@ -11,8 +11,8 @@ This module and `kernels` are the only ones that know the term format.
 Other modules read a polynomial through its public (exponents,
 coefficient) view, `for e, c in poly`, and reach the term map only
 through methods: the standard splitting `split`, the fused
-multiply-and-split `mul_split` and the change of variable
-`substitute_reciprocal`.
+multiply-and-split `mul_split` with the grouping `residue_groups` it
+takes, and the change of variable `substitute_reciprocal`.
 
 Laurent monomials are units, and units cost nothing: a product with a
 one-term factor is a shift, an exact division by a one-term divisor is
@@ -143,10 +143,7 @@ class LaurentPoly:
         """Componentwise (min, max) over the support; zero poly rejected."""
         if not self.terms:
             raise ValueError("zero polynomial has empty support")
-        keys = list(self.terms)
-        lo = tuple(min(e[i] for e in keys) for i in range(self.n))
-        hi = tuple(max(e[i] for e in keys) for i in range(self.n))
-        return lo, hi
+        return kernels.box(self.terms)
 
     # -- equality / hashing / ordering ------------------------------------
 
@@ -213,19 +210,28 @@ class LaurentPoly:
                 out[tuple(a // q for a in e)] = c
         return LaurentPoly(self.field, self.n, out)
 
-    def mul_split(self, other: "LaurentPoly", q: int, r: int
-                  ) -> "LaurentPoly":
+    def residue_groups(self, q: int):
+        """The terms grouped by exponent residue mod q, in the form
+        `mul_split` takes them: a factor that meets many others is
+        grouped once and the groups passed to each call."""
+        return kernels.residue_groups(self.terms, q)
+
+    def mul_split(self, other: "LaurentPoly", q: int, r: int,
+                  groups=None) -> "LaurentPoly":
         """The terms of self * other whose exponents are all congruent to
         r mod q, each stored at (e - r) // q.  Only those pairs are
         formed, and only they are charged, under the budgets of a
-        product.  Over GF(p) only: the kernel reduces mod p."""
+        product.  Over GF(p) only: the kernel reduces mod p.  `groups`,
+        when given, is `self.residue_groups(q)`."""
         self._compat(other)
         p = self.field.char
         if not p:
             raise FieldMismatchError(
                 f"mul_split needs a prime field, got {self.field!r}")
-        terms = kernels.mul_split_terms(self.terms, other.terms, p, q, r,
-                                        budgets.current().max_terms,
+        if groups is None:
+            groups = kernels.residue_groups(self.terms, q)
+        terms = kernels.mul_split_terms(other.terms, self.terms, groups, p,
+                                        q, r, budgets.current().max_terms,
                                         budgets.raw_allowance())
         return LaurentPoly(self.field, self.n, terms)
 
@@ -283,7 +289,16 @@ class LaurentPoly:
         candidate outside that box disproves divisibility immediately,
         and the box also bounds the number of steps.  As for a product,
         max_terms caps the quotient and the remainder, and every
-        cancellation is charged to the raw meter as one row."""
+        cancellation is charged to the raw meter as one row.
+
+        The remainder runs on keys packed over the dividend's box, which
+        holds every remainder term and every row of a quotient term in
+        the quotient box.  So a row is range-checked only when the
+        dividend leaves the exponent range, and then by its box, whose
+        extremes its terms attain.  The heap holds negated keys, whose
+        int order is lex order, and gets only the keys a row creates.
+        Only the popped leading key is unpacked, to form the quotient
+        exponent."""
         field = self.field
         p = field.char
         lo_a, hi_a = self.support_box()
@@ -298,29 +313,40 @@ class LaurentPoly:
         cb_inv = field.invert(cb)
         bres = budgets.current()
         raw = budgets.raw_allowance()
-        rem = dict(self.terms)
-        # max-heap of candidate leading exponents, realized as a min-heap
-        # of negated tuples with lazy deletion
-        heap = [tuple(-x for x in e) for e in rem]
+        # a row lies inside the dividend's box, so it can leave the
+        # exponent range only when the dividend does
+        guard_rows = not kernels.in_range(lo_a, hi_a)
+        radix = kernels.radices(lo_a, hi_a)
+        rem = dict(kernels.pack_terms(self.terms, lo_a, radix))
+        row = dict(kernels.pack_terms(divisor.terms, lo_b, radix))
+        # the leading divisor key: the key of the leading remainder term
+        # minus it is the key offset of the row that cancels that term
+        kb = max(row)
+        heap = [-k for k in rem]
         heapq.heapify(heap)
         quotient: dict = {}
         while rem:
             while True:
                 if not heap:
                     raise NotDivisibleError("remainder has no live terms")
-                er = tuple(-x for x in heapq.heappop(heap))
-                cr = rem.get(er)
+                k = -heapq.heappop(heap)
+                cr = rem.get(k)
                 if cr is not None:
                     break
+            er, = kernels.unpack((k,), lo_a, radix)
             et = kernels._checked_add(er, neg_eb)  # range guard, as in shifts
             if any(not lo[i] <= et[i] <= hi[i] for i in range(self.n)):
                 raise NotDivisibleError(
                     "no quotient: leading term leaves the support box")
             ct = cr * cb_inv % p if p else qq_canonical(cr * cb_inv)
             quotient[et] = ct
-            touched = kernels.submul_terms(rem, et, ct, divisor.terms, p, raw)
-            for e in touched:
-                heapq.heappush(heap, tuple(-x for x in e))
+            if guard_rows and not kernels.in_range(
+                    [x + y for x, y in zip(et, lo_b)],
+                    [x + y for x, y in zip(et, hi_b)]):
+                kernels._charge(raw, len(row))  # first, as in a row
+                raise OverflowError("exponent outside 64-bit range")
+            for key in kernels.submul_terms(rem, k - kb, ct, row, p, raw):
+                heapq.heappush(heap, -key)
             if len(quotient) > bres.max_terms:
                 raise BudgetExceededError(
                     "max_terms", f"quotient exceeded {bres.max_terms} terms")

@@ -13,9 +13,10 @@ congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 (the monomial x^(p-1, ..., p-1) is the one the dual basis picks out).
 
 psi never forms the whole product f^(p-1) * r: the fused
-`LaurentPoly.mul_split` pairs each term of f^(p-1) only with the terms
-of r that complete it to the kept residue class.  f^(p-1) itself is built
-once per presentation by plain products.  Both run in one
+`LaurentPoly.mul_split` pairs each term of r only with the terms of
+f^(p-1) that complete it to the kept residue class.  f^(p-1) itself is
+built once per presentation by plain products, and grouped by exponent
+residue mod p once, on its first psi call.  Both run in one
 `budgets.raw_meter()` block, so they share one max_raw_products
 allowance, and inside an enclosing meter they draw on what it has left.
 """
@@ -45,6 +46,7 @@ class LowerBoundPresentation:
 
     def __post_init__(self):
         self._fpow: dict[int, LaurentPoly] = {}
+        self._fgroups: dict[int, dict] = {}   # f^(p-1) grouped mod p
 
     @property
     def n(self) -> int:
@@ -115,7 +117,11 @@ def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
         raise ValueError("psi arguments live in the polynomial ring; "
                          "negative exponents are not allowed")
     with budgets.raw_meter():
-        return _f_power(pres, p - 1).mul_split(r, p, p - 1)
+        fpow = _f_power(pres, p - 1)
+        groups = pres._fgroups.get(p)
+        if groups is None:
+            groups = pres._fgroups[p] = fpow.residue_groups(p)
+        return fpow.mul_split(r, p, p - 1, groups)
 
 
 def verify_lb_splitting(pres: LowerBoundPresentation, p: int) -> bool:

@@ -4,9 +4,10 @@ Every check is exact — equality of term dictionaries over QQ or GF(p),
 never a numeric tolerance.  Each test also asserts its wall-clock bound.
 
 Criterion 1 needs one caveat.  On the generalized Markov seeds (markov3,
-markov4) cluster variables are supported on a line in the exponent
-lattice, so iterated mutation grows raw multiplication work and integer
-coefficient size without bound; full verification of every length-6 path
+markov4) the exchange monomials are high powers of the cluster variables
+(at the fourth markov3 step along 1,2,3,1, x2'^87 and x3'^15), so iterated
+mutation grows raw multiplication work and integer coefficient size
+without bound; full verification of every length-6 path
 is not reachable in any useful time budget (measured: a single worst path
 exceeds 99 s, and a 100x larger work allowance verifies only 6 more steps
 out of ~650).  Those two seeds therefore run each path under an explicit

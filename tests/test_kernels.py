@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clusterfrob import BudgetExceededError, budgets, kernels
+from clusterfrob import (GF, QQ, BudgetExceededError, LaurentPoly, budgets,
+                         kernels)
 
 PLENTY = 10**9
 
@@ -105,6 +106,12 @@ def test_exponent_overflow_guard():
 # -- fused multiply-and-split ------------------------------------------------
 
 
+def mul_split(a, b, p, q, r, max_terms, raw):
+    """The fused split with b as the grouped factor."""
+    return kernels.mul_split_terms(a, b, kernels.residue_groups(b, q), p, q,
+                                   r, max_terms, raw)
+
+
 def split_oracle(a, b, p, q, r):
     """The unfused path: the whole product, then the residue filter."""
     out = {}
@@ -137,8 +144,8 @@ def test_mul_split_matches_unfused_product(case):
     p, q, r, a, b = case
     want = split_oracle(a, b, p, q, r)
     # both argument orders, so either factor is the one grouped
-    assert kernels.mul_split_terms(a, b, p, q, r, 10**6, fresh()) == want
-    assert kernels.mul_split_terms(b, a, p, q, r, 10**6, fresh()) == want
+    assert mul_split(a, b, p, q, r, 10**6, fresh()) == want
+    assert mul_split(b, a, p, q, r, 10**6, fresh()) == want
 
 
 def test_mul_split_drains_raw_by_pairs_formed():
@@ -148,20 +155,20 @@ def test_mul_split_drains_raw_by_pairs_formed():
     assert 0 < pairs < len(a) * len(b)
     for x, y in ((a, b), (b, a)):
         allowance = [pairs + 3]
-        kernels.mul_split_terms(x, y, 5, 5, 4, 10**6, allowance)
+        mul_split(x, y, 5, 5, 4, 10**6, allowance)
         assert allowance[0] == 3
     with pytest.raises(BudgetExceededError) as err:
-        kernels.mul_split_terms(a, b, 5, 5, 4, 10**6, [pairs - 1])
+        mul_split(a, b, 5, 5, 4, 10**6, [pairs - 1])
     assert err.value.budget == "max_raw_products"
 
 
 def test_mul_split_respects_term_budget():
     a = {(i,): 1 for i in range(0, 200, 5)}
     b = {(5 * i + 4,): 1 for i in range(0, 400, 40)}
-    out = kernels.mul_split_terms(a, b, 7, 5, 4, 10**6, fresh())
+    out = mul_split(a, b, 7, 5, 4, 10**6, fresh())
     assert len(out) == len(a) * len(b)
     with pytest.raises(BudgetExceededError) as err:
-        kernels.mul_split_terms(a, b, 7, 5, 4, 100, fresh())
+        mul_split(a, b, 7, 5, 4, 100, fresh())
     assert err.value.budget == "max_terms"
 
 
@@ -171,7 +178,7 @@ def test_mul_split_over_allowance_raises_before_any_pair():
     b = {(5 * 2**60,): 1, (5,): 1}
     allowance = [2]
     with pytest.raises(BudgetExceededError) as err:
-        kernels.mul_split_terms(a, b, 5, 5, 0, 10**6, allowance)
+        mul_split(a, b, 5, 5, 0, 10**6, allowance)
     assert err.value.budget == "max_raw_products"
     assert allowance[0] == 0
 
@@ -180,7 +187,7 @@ def test_mul_split_overflow_guard():
     # the pair lands in the kept class, and its sum leaves 64-bit range
     a = {(5 * 2**60,): 1}
     with pytest.raises(OverflowError):
-        kernels.mul_split_terms(a, a, 5, 5, 0, 10**6, fresh())
+        mul_split(a, a, 5, 5, 0, 10**6, fresh())
 
 
 # -- one-term factors: the shift path ---------------------------------------
@@ -326,10 +333,16 @@ def test_kernels_match_plain_dicts(case):
     assert kernels.mul_terms(b, a, p, 10**6, fresh()) == mul
     shift = kernels.scale_shift_terms(b, e0, c0, p)
     assert shift == schoolbook({e0: c0}, b, p)
-    rem = dict(a)
-    touched = kernels.submul_terms(rem, e0, c0, b, p, fresh())
+    # the row on keys packed over a box that holds a and the row
+    lo, hi = kernels.box(list(a) + list(shift))
+    radix = kernels.radices(lo, hi)
+    rem = dict(kernels.pack_terms(a, lo, radix))
+    row = dict(kernels.pack_terms(b, [0] * len(e0), radix))
+    (k0, _), = kernels.pack_terms({e0: c0}, lo, radix)
+    created = kernels.submul_terms(rem, k0, c0, row, p, fresh())
+    rem = dict(zip(kernels.unpack(rem, lo, radix), rem.values()))
     assert rem == plain_sum(a, shift, p, -1)
-    assert set(touched) == set(rem) & set(shift)
+    assert set(kernels.unpack(created, lo, radix)) == set(rem) - set(a)
     for out in (add, sub, mul, shift, rem):
         assert_canonical(out, p)
 
@@ -352,50 +365,168 @@ def test_qq_values_that_become_integral_are_ints():
                           10**6, fresh()),
         kernels.scale_shift_terms({(1,): half, (0,): 1}, (1,), 4, 0),
     ]
-    rem = {(2,): half, (1,): Fraction(5, 2)}
-    kernels.submul_terms(rem, (1,), half, {(1,): -1, (0,): 1}, 0, fresh())
+    rem = {2: half, 1: Fraction(5, 2)}  # submul rows run on packed keys
+    kernels.submul_terms(rem, 1, half, {1: -1, 0: 1}, 0, fresh())
     cases.append(rem)
     assert cases == [
         {(1,): 1, (0,): half},
         {(0,): 1, (2,): 1, (1,): 2, (3,): 2},
         {(0,): 1, (2,): 3},
         {(2,): 2, (1,): 4},
-        {(2,): 1, (1,): 2},
+        {2: 1, 1: 2},
     ]
     for out in cases:
         assert_canonical(out, 0)
 
 
 def test_submul_updates_in_place():
-    rem = {(2,): 1, (1,): 1}
-    touched = kernels.submul_terms(rem, (1,), 1, {(1,): 1}, 0, fresh())
-    assert rem == {(1,): 1}
+    rem = {2: 1, 1: 1}
+    touched = kernels.submul_terms(rem, 1, 1, {1: 1}, 0, fresh())
+    assert rem == {1: 1}
     assert set(touched) <= set(rem)
 
 
 @pytest.mark.parametrize("p", [0, 5])
 def test_submul_charges_raw_allowance(p):
-    rem = {(2,): 1}
-    b = {(i,): 1 for i in range(5)}
+    rem = {2: 1}
+    b = {i: 1 for i in range(5)}
     allowance = [12]
-    kernels.submul_terms(rem, (0,), 1, b, p, allowance)
+    kernels.submul_terms(rem, 0, 1, b, p, allowance)
     assert allowance[0] == 7
-    kernels.submul_terms(rem, (1,), 1, b, p, allowance)
+    kernels.submul_terms(rem, 1, 1, b, p, allowance)
     assert allowance[0] == 2
     with pytest.raises(BudgetExceededError) as err:
-        kernels.submul_terms(rem, (2,), 1, b, p, allowance)
+        kernels.submul_terms(rem, 2, 1, b, p, allowance)
     assert err.value.budget == "max_raw_products"
 
 
 @pytest.mark.parametrize("p", [0, 5])
 def test_submul_overflow_leaves_the_allowance(p):
-    # the range guard stops the row before it is formed: nothing charged
-    allowance = [10]
-    with pytest.raises(OverflowError):
-        kernels.submul_terms({}, (2**62,), 1,
-                             {(2**62,): 1, (0,): 1}, p, allowance)
-    assert allowance == [10]
+    # submul rows are not range-checked: the division checks the quotient
+    # exponent, here 2^63, before its row is formed, so nothing is charged
+    field = GF(p) if p else QQ
+    num = LaurentPoly.from_terms(field, 1, {(2**63 - 1,): 1, (2**63 - 2,): 1})
+    den = LaurentPoly.from_terms(field, 1, {(-1,): 1, (-2,): 1})
+    with budgets.raw_meter(10) as meter, pytest.raises(OverflowError):
+        num.exact_divide(den)
+    assert meter == [10]
 
 
 def test_backend_reports():
     assert kernels.backend() == "pure"
+
+
+# -- packed keys against the tuple loop -----------------------------------------
+
+
+def tuple_mul_terms(a, b, p, max_terms, raw):
+    """The product kernel as it was before packed keys: every pair forms
+    its exponent tuple and range-checks it.  The reference of mul_terms,
+    order of the output included."""
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    remaining = raw[0] - len(a) * len(b)
+    if remaining < 0:
+        raw[0] = 0
+        raise BudgetExceededError("max_raw_products", "")
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(not -2**63 <= x < 2**63 for x in e):
+                raise OverflowError("exponent outside 64-bit range")
+            old = out.get(e)
+            v = ca * cb if old is None else old + ca * cb
+            if p:
+                v %= p
+            elif type(v) is Fraction and v.denominator == 1:
+                v = v.numerator
+            if v:
+                out[e] = v
+            elif old is not None:
+                del out[e]
+        if len(out) > max_terms:
+            raw[0] = remaining
+            raise BudgetExceededError("max_terms", "")
+    raw[0] = remaining
+    return out
+
+
+def outcome(mul, a, b, p, max_terms, raw):
+    """(terms as a list in dict order, or the error's kind) and the
+    allowance left, of one product."""
+    allowance = [raw]
+    try:
+        got = list(mul(a, b, p, max_terms, allowance).items())
+    except BudgetExceededError as exc:
+        got = exc.budget
+    except OverflowError:
+        got = "overflow"
+    return got, allowance[0]
+
+
+@st.composite
+def packed_cases(draw):
+    """Products on both sides of the packing rule, with negative
+    exponents, cancelling and integral-making terms as in term_cases,
+    and in some coordinates an offset of +-2^62, so that the product's
+    box can leave the 64-bit range in part or in whole."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-4, max_value=4)] * nvars)
+    coeffs = field_coeffs(p)
+    a = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=12))
+    b = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=12))
+    for e in draw(st.sets(st.sampled_from(sorted(a)))):
+        b[e] = (-a[e]) % p if p else -a[e]
+    for e in draw(st.sets(st.sampled_from(sorted(a)))):
+        b[e] = a[e]
+    offsets = st.tuples(*[st.sampled_from([0, 0, 0, 2**62, -2**62])] * nvars)
+    for terms in (a, b):
+        shift = draw(offsets)
+        shifted = {tuple(x + s for x, s in zip(e, shift)): c
+                   for e, c in terms.items()}
+        terms.clear()
+        terms.update(shifted)
+    max_terms = draw(st.integers(min_value=0, max_value=40))
+    raw = draw(st.integers(min_value=len(a) * len(b) - 2,
+                           max_value=len(a) * len(b) + 2))
+    return p, a, b, max_terms, raw
+
+
+@example((0, {(i,): i + 1 for i in range(4)},
+          {(2 * j,): Fraction(1, 2) for j in range(7)}, 40, 28))  # 28 pairs
+@example((0, {(i,): i + 1 for i in range(4)},
+          {(2 * j,): Fraction(-1, 3) for j in range(8)}, 40, 32))  # 32 pairs
+@given(packed_cases())
+def test_mul_matches_the_tuple_loop(case):
+    # terms, their order, the error raised and the allowance left, on
+    # both sides of the packing rule
+    p, a, b, max_terms, raw = case
+    want = outcome(tuple_mul_terms, a, b, p, max_terms, raw)
+    assert outcome(kernels.mul_terms, a, b, p, max_terms, raw) == want
+    assert outcome(kernels.mul_terms, b, a, p, max_terms, raw) == \
+        outcome(tuple_mul_terms, b, a, p, max_terms, raw)
+
+
+@pytest.mark.parametrize("size", [kernels._PACK_MIN // 2 - 1,
+                                  kernels._PACK_MIN // 2])
+def test_packing_rule_sides_match_the_tuple_loop(size):
+    # a 2 x size product on each side of the rule whose last pair leaves
+    # the 64-bit range, under term caps that stop it in its first row or
+    # not at all, and allowances that cover it or not; then one whose
+    # last pair lands on the top of the range
+    a = {(0,): 1, (2**62,): 3}
+    b = {(i,): Fraction(1, i + 2) for i in range(size - 1)}
+    b[(2**62,)] = 1
+    for max_terms in (0, size - 1, size, 10**6):
+        for raw in (2 * size - 1, 2 * size):
+            assert outcome(kernels.mul_terms, a, b, 0, max_terms, raw) == \
+                outcome(tuple_mul_terms, a, b, 0, max_terms, raw)
+    del b[(2**62,)]
+    b[(2**62 - 1,)] = 1
+    got = outcome(kernels.mul_terms, a, b, 0, 10**6, 10**6)
+    assert got == outcome(tuple_mul_terms, a, b, 0, 10**6, 10**6)
+    assert got[0][-1] == ((2**63 - 1,), 3)

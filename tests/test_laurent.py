@@ -6,6 +6,7 @@ values were computed with it (or by hand where small enough to read off)
 and the tests pin them.
 """
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -660,3 +661,141 @@ def test_math_comb_sanity_for_oracle():
     # The integer-oracle freshman's-dream test leans on binomials
     # vanishing mod p; pin one instance so a typo there would surface.
     assert [math.comb(5, k) % 5 for k in range(6)] == [1, 0, 0, 0, 0, 1]
+
+
+# -- packed division against the tuple division ----------------------------------
+
+
+def tuple_divide(num, den):
+    """exact_divide as it was before packed keys, for a divisor of two or
+    more terms: a remainder of exponent tuples, a heap of every key a row
+    touches, and a range check on every row key.  The reference of the
+    packed division, order of the quotient included."""
+    field, p, n = num.field, num.field.char, num.n
+    lo_a, hi_a = num.support_box()
+    lo_b, hi_b = den.support_box()
+    lo = tuple(lo_a[i] - lo_b[i] for i in range(n))
+    hi = tuple(hi_a[i] - hi_b[i] for i in range(n))
+    if any(lo[i] > hi[i] for i in range(n)):
+        raise NotDivisibleError("empty support box")
+
+    def checked(e):
+        if any(not -2**63 <= x < 2**63 for x in e):
+            raise OverflowError("exponent outside 64-bit range")
+        return e
+
+    eb, cb = den.leading_term()
+    cb_inv = field.invert(cb)
+    max_terms = budgets.current().max_terms
+    raw = budgets.raw_allowance()
+    rem = dict(num.terms)
+    heap = [tuple(-x for x in e) for e in rem]
+    heapq.heapify(heap)
+    quotient = {}
+    while rem:
+        while True:
+            if not heap:
+                raise NotDivisibleError("remainder has no live terms")
+            er = tuple(-x for x in heapq.heappop(heap))
+            cr = rem.get(er)
+            if cr is not None:
+                break
+        et = checked(tuple(x - y for x, y in zip(er, eb)))
+        if any(not lo[i] <= et[i] <= hi[i] for i in range(n)):
+            raise NotDivisibleError("leading term leaves the support box")
+        ct = cr * cb_inv % p if p else field.coerce(cr * cb_inv)
+        quotient[et] = ct
+        remaining = raw[0] - len(den.terms)
+        if remaining < 0:
+            raw[0] = 0
+            raise BudgetExceededError("max_raw_products", "")
+        for e0, c0 in den.terms.items():
+            e = checked(tuple(x + y for x, y in zip(et, e0)))
+            v = rem.get(e, 0) - ct * c0
+            v = v % p if p else field.coerce(v)
+            if v:
+                rem[e] = v
+                heapq.heappush(heap, tuple(-x for x in e))
+            elif e in rem:
+                del rem[e]
+        raw[0] = remaining
+        if len(quotient) > max_terms:
+            raise BudgetExceededError("max_terms", "")
+        if len(rem) > max_terms:
+            raise BudgetExceededError("max_terms", "")
+    return LaurentPoly(field, n, quotient)
+
+
+def division_outcome(divide, num, den, max_terms, raw):
+    """(quotient terms as a list in dict order, or the error's kind) and
+    the allowance left, of one division."""
+    with budgets.limits(max_terms=max_terms), budgets.raw_meter(raw) as meter:
+        try:
+            got = list(divide(num, den).terms.items())
+        except BudgetExceededError as exc:
+            got = exc.budget
+        except (NotDivisibleError, OverflowError) as exc:
+            got = type(exc).__name__
+        return got, meter[0]
+
+
+@st.composite
+def packed_divisions(draw):
+    """num = q * den (two or more terms, as den has), sometimes with a
+    term changed, over QQ (Fractions among the coefficients) and GF(p),
+    with negative exponents and in some coordinates exponents near
+    +-2^62 or the ends of the 64-bit range, so that a quotient exponent
+    can leave it."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    small = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n)
+    if field.char:
+        coeffs = st.integers(min_value=1, max_value=field.char - 1)
+    else:
+        coeffs = st.fractions(min_value=-9, max_value=9,
+                              max_denominator=4).filter(bool)
+    ends = [0, 0, 0, 2**62, -2**62, 2**63 - 8, -2**63 + 8]
+    shift_q = draw(st.tuples(*[st.sampled_from(ends)] * n))
+    shift_d = draw(st.tuples(*[st.sampled_from([0, 0, 2**62, -2**62])] * n))
+
+    def poly(shift, min_size, max_size):
+        terms = draw(st.dictionaries(small, coeffs, min_size=min_size,
+                                     max_size=max_size))
+        return LaurentPoly.from_terms(field, n, {
+            tuple(x + s for x, s in zip(e, shift)): c
+            for e, c in terms.items()})
+
+    q = poly(shift_q, 1, 8)
+    den = poly(shift_d, 2, 6)
+    num = LaurentPoly.from_terms(field, n, oracle_mul(q.terms, den.terms,
+                                                      field.char))
+    if draw(st.booleans()):
+        e, c = draw(st.sampled_from(sorted(num.terms.items())))
+        num = num + LaurentPoly.monomial(field, n, e, c + field.one)
+    max_terms = draw(st.integers(min_value=0, max_value=60))
+    raw = draw(st.integers(min_value=0, max_value=300))
+    return num, den, max_terms, raw
+
+
+@given(packed_divisions())
+def test_division_matches_the_tuple_division(case):
+    # quotient terms and their order, the error raised (range guard,
+    # support box, max_terms at the same step) and the allowance left
+    num, den, max_terms, raw = case
+    want = division_outcome(tuple_divide, num, den, max_terms, raw)
+    assert division_outcome(LaurentPoly.exact_divide, num, den,
+                            max_terms, raw) == want
+    loose = division_outcome(tuple_divide, num, den, 10**4, 10**4)
+    assert division_outcome(LaurentPoly.exact_divide, num, den,
+                            10**4, 10**4) == loose
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_division_range_guard_at_two_to_the_62(field):
+    # the quotient exponents are 1 - 2^63, -2^63 and then -2^63 - 1,
+    # which leaves the range after two rows of two raw products each
+    den = lp(field, 1, [((2**62,), 1), ((2**62 - 1,), 1)])
+    num = lp(field, 1, [((1 - 2**62,), 1), ((-2 - 2**62,), -1)])
+    for divide in (tuple_divide, LaurentPoly.exact_divide):
+        assert division_outcome(divide, num, den, 10, 10) == \
+            ("OverflowError", 6)

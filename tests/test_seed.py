@@ -42,14 +42,22 @@ def quiver_from_edges(n, edges, frozen=()):
     return Quiver(n, tuple(tuple(r) for r in b), frozenset(frozen))
 
 
-def dynkin(kind, n):
-    """A_n (a path) or D_n (a path with a fork at one end), each edge
-    oriented from the smaller vertex; every orientation of a tree gives
-    the same exchange graph."""
+def dynkin_edges(kind, n):
+    """A_n (a path), D_n (a path with a fork at one end) or E_n (a path
+    with a branch at its third vertex), each edge oriented from the
+    smaller vertex."""
     edges = [(i, i + 1) for i in range(n - 1)]
     if kind == "D":
         edges[-1] = (n - 3, n - 1)
-    return quiver_from_edges(n, edges)
+    if kind == "E":
+        edges[-1] = (2, n - 1)
+    return edges
+
+
+def dynkin(kind, n):
+    """The Dynkin quiver; every orientation of a tree gives the same
+    exchange graph."""
+    return quiver_from_edges(n, dynkin_edges(kind, n))
 
 
 def relabel(seed, pi):
@@ -222,16 +230,46 @@ FINITE_TYPE_COUNTS = {
     **{("A", n): (catalan(n + 1), n * (n + 3) // 2) for n in range(2, 7)},
     **{("D", n): ((3 * n - 2) * comb(2 * n - 2, n - 1) // n, n * n)
        for n in (4, 5)},
+    ("E", 6): (833, 42),
 }
 
 
+def positive_roots(kind, n):
+    """The positive roots in the simple-root basis: the simple roots and
+    their images under the simple reflections s_i(b) = b - (C b)_i e_i
+    of the Cartan matrix C that stay positive."""
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in dynkin_edges(kind, n):
+        cartan[i][j] = cartan[j][i] = -1
+    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    todo = list(roots)
+    while todo:
+        b = todo.pop()
+        for i in range(n):
+            r = list(b)
+            r[i] -= sum(cartan[i][j] * b[j] for j in range(n))
+            r = tuple(r)
+            if min(r) >= 0 and r not in roots:
+                roots.add(r)
+                todo.append(r)
+    return roots
+
+
 def test_finite_type_exchange_graphs_close_with_exact_counts():
+    # and the denominator vectors, the negated support-box minima, of the
+    # non-initial cluster variables are the positive roots, each once
+    # (Fomin-Zelevinsky): a quotient with a wrong term, or a lost
+    # variable, moves them
     started = time.perf_counter()
     for (kind, n), (clusters, variables) in FINITE_TYPE_COUNTS.items():
-        result = explore(initial_seed(dynkin(kind, n), QQ), 100)
+        seed = initial_seed(dynkin(kind, n), QQ)
+        result = explore(seed, 100)
         assert result.closed, (kind, n)
         assert (result.seed_count, result.variable_count) == \
             (clusters, variables), (kind, n)
+        dvectors = sorted(tuple(-x for x in v.support_box()[0])
+                          for v in result.variables if v not in seed.vars)
+        assert dvectors == sorted(positive_roots(kind, n)), (kind, n)
     assert time.perf_counter() - started < 8.0
 
 
