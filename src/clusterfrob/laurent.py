@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from . import budgets, kernels
 from .errors import FieldMismatchError, NotDivisibleError, BudgetExceededError

@@ -1,6 +1,7 @@
 """Splitting maps in prime characteristic."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from clusterfrob import (GF, FieldMismatchError, LaurentPoly,
                          MutationAtFrozenError, NotAcyclicError,
-                         RationalExpr, SplittingMap, corpus, freg_witness_sink,
-                         frobenius, hom_generator, initial_seed,
-                         split_apply, splitting_invariance_check,
-                         standard_split)
+                         RationalExpr, SplittingMap, cluster_substitution,
+                         corpus, freg_witness_sink, frobenius, hom_generator,
+                         initial_seed, split_apply,
+                         splitting_invariance_check, standard_split)
 
 
 def lp(field, n, terms):
@@ -219,12 +220,13 @@ def test_invariance_rejects_frozen_vertex():
 def test_invariance_fails_for_a_split_off_by_one(monkeypatch):
     # keeping the exponents = 1 mod p, stored at (e - 1)/p, is a
     # p^(-1)-linear map but not the standard splitting: it must be caught
-    def shifted(f, p, e=1):
-        return LaurentPoly.from_terms(f.field, f.n, [
-            (tuple((a - 1) // p for a in x), c) for x, c in f
-            if all(a % p == 1 for a in x)])
+    # in the fused split the check runs
+    mul_split = LaurentPoly.mul_split
 
-    monkeypatch.setattr(frobenius, "standard_split", shifted)
+    def shifted(self, other, q, r, groups=None):
+        return mul_split(self, other, q, 1, groups)
+
+    monkeypatch.setattr(LaurentPoly, "mul_split", shifted)
     seed = initial_seed(corpus.load("a2"), GF(3))
     for k in (0, 1):
         report = splitting_invariance_check(seed, k, 3, small_box(2, 3))
@@ -236,6 +238,64 @@ def test_invariance_rejects_bad_alpha():
     seed = initial_seed(corpus.load("a2"), GF(3))
     with pytest.raises(ValueError):
         splitting_invariance_check(seed, 0, 3, [(1, 2, 3)])
+
+
+def per_vector_images(seed, k, p, sample):
+    """The check's images computed vector by vector, its slow twin:
+    split_apply of the standard map on x'^alpha_k * x^m, with x'^alpha_k
+    powered and cleared again for every vector."""
+    fld, n = seed.field, seed.n
+    (_, numer), = cluster_substitution(seed, (k,))
+    xk_new = RationalExpr(numer * LaurentPoly.variable(fld, n, k).inverse())
+    m = SplittingMap.standard(p, 1, n)
+    for alpha in sample:
+        mono = LaurentPoly.monomial(fld, n, alpha[:k] + (0,) + alpha[k + 1:])
+        yield split_apply(m, xk_new ** alpha[k] * mono)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize(
+    "name", ["a2", "a3", "markov", "mixed-pair", "cycle3-frozen"])
+def test_invariance_images_match_per_vector_split_apply(name, p,
+                                                        monkeypatch):
+    # the check caches the cleared x'^alpha_k and splits c * x^m in one
+    # fused step; every image must be the old path's, term for term
+    images = []
+    express_rational = frobenius.express_rational
+
+    def recording(image, steps):
+        images.append(image)
+        return express_rational(image, steps)
+
+    monkeypatch.setattr(frobenius, "express_rational", recording)
+    q = corpus.load(name)
+    initial = initial_seed(q, GF(p))
+    sample = small_box(q.n, p)
+    for seed in (initial, initial.mutate(min(q.mutable))):
+        for k in sorted(q.mutable):
+            images.clear()
+            report = splitting_invariance_check(seed, k, p, sample)
+            assert report.ok, (name, p, k, report.failures[:1])
+            assert len(images) == len(sample)
+            for alpha, got, want in zip(
+                    sample, images, per_vector_images(seed, k, p, sample)):
+                assert (got.num, got.den) == (want.num, want.den), alpha
+
+
+def test_invariance_boxes_at_p7():
+    t0 = time.perf_counter()
+    checked = 0
+    for name in ("a2", "a3", "markov"):
+        q = corpus.load(name)
+        seed = initial_seed(q, GF(7))
+        sample = list(itertools.product(range(-14, 15), repeat=q.n))
+        for k in sorted(q.mutable):
+            report = splitting_invariance_check(seed, k, 7, sample)
+            assert report.ok, (name, k, report.failures[:1])
+            checked += report.checked
+    assert checked == 148_016
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 20.0, f"{elapsed:.1f}s"
 
 
 # -- sink witnesses ----------------------------------------------------------------
