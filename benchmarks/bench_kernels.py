@@ -190,6 +190,22 @@ MACRO_SNIPPETS = {
         "sample = list(itertools.product(range(-6, 7), repeat=3))\n"
         "for k in range(3):\n"
         "    assert splitting_invariance_check(s, k, 3, sample).ok\n"),
+    "invariance boxes p=7 a2/a3/markov": (
+        "import itertools\n"
+        "from clusterfrob import corpus\n"
+        "from clusterfrob.fields import GF\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "from clusterfrob.frobenius import splitting_invariance_check\n"
+        "checked = 0\n"
+        "for name in ('a2', 'a3', 'markov'):\n"
+        "    q = corpus.load(name)\n"
+        "    s = initial_seed(q, GF(7))\n"
+        "    sample = list(itertools.product(range(-14, 15), repeat=q.n))\n"
+        "    for k in sorted(q.mutable):\n"
+        "        rep = splitting_invariance_check(s, k, 7, sample)\n"
+        "        assert rep.ok\n"
+        "        checked += rep.checked\n"
+        "assert checked == 148_016, checked\n"),
     "explore E6 to closure": (
         "from clusterfrob import Quiver\n"
         "from clusterfrob.fields import QQ\n"

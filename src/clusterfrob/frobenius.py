@@ -149,24 +149,46 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
     The image is `split_apply` of the standard map, computed once per
     power of x'_k: with x'_k^alpha_k = a/b, the cleared numerator
     c = a * b^(p-1) (or a when b is 1) and its residue groups are cached
-    by alpha_k, and each vector's image is the fused split of c * x^m,
-    with m = alpha with coordinate k set to 0, over b.  So the product
-    for each alpha_k is charged once, and the split charges only the
-    pairs it keeps, under `max_terms` and the raw allowance."""
+    by alpha_k, and an image is the fused split of c * x^m, with m = alpha
+    with coordinate k set to 0, over b.
+
+    Each residue class is re-read once.  Write m = rho + p*beta with rho
+    in [0, p)^n, so rho_k = beta_k = 0.  The split of c * x^m is x^beta
+    times the split of c * x^rho, term for term, and x^beta is a unit
+    without z_k: it passes through the division by b, the re-reading and
+    the final division, and the expected value scales by it too.  So
+    alpha has the verdict of its representative rho + alpha_k * e_k, and
+    the check decides each class (alpha_k, rho) once, on that
+    representative.  The vectors of a failing class are checked one by
+    one, so the failures and their texts are those of a per-vector check.
+    A vector with an entry that is not an int, or above 2^56 / (p * d)
+    in size, d the largest exponent of N_k, is checked on its own, so it
+    raises what a per-vector check raises.
+
+    Budgets: the product for each alpha_k is charged once, and a split
+    charges only the pairs it keeps, under `max_terms` and the raw
+    allowance.  Under a `budgets.raw_meter` block each class is charged
+    once, not each vector, so a sample that used to exhaust the allowance
+    may now pass."""
     _require_prime_field(seed.vars[0], p)
     fld, n = seed.field, seed.n
     steps = cluster_substitution(seed, (k,))
     (_, numer), = steps
     xk_new = RationalExpr(numer * LaurentPoly.variable(fld, n, k).inverse())
     powers: dict[int, tuple] = {}
+    # The exponents formed for a representative are below
+    # 16 * p * (|alpha_k| + 1) * d in size, d >= 1 the largest exponent of
+    # N_k: c's are at most p * |alpha_k| * d, the split's pairs at most
+    # that plus p, and what the divisions and the re-reading form at most
+    # 6 * |alpha_k| * d + 1.  alpha's own differ from them by at most
+    # |alpha_i| + p.  With every entry at most `reach`, both stay below
+    # 2^62, inside the 64-bit exponent range.
+    reach = 2 ** 56 // (p * max(map(max, numer.terms)))
+    classes: dict[tuple[int, int], bool] = {}
 
-    failures = []
-    checked = 0
-    for alpha in sample:
-        alpha = tuple(alpha)
-        if len(alpha) != n:
-            raise ValueError(f"alpha {alpha} has wrong length")
-        checked += 1
+    def failure(alpha):
+        """None when alpha's image is x'^(alpha/p) or 0 as it should be,
+        else the failure text."""
         cached = powers.get(alpha[k])
         if cached is None:
             power = xk_new ** alpha[k]
@@ -185,12 +207,33 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
         try:
             got = moved.as_laurent()
         except NotDivisibleError:
-            failures.append((alpha, "image is not Laurent in the mutated "
-                                    "cluster: " + moved.render()))
-            continue
+            return ("image is not Laurent in the mutated cluster: "
+                    + moved.render())
         if got != expected:
-            failures.append(
-                (alpha, f"{got.render()} != {expected.render()}"))
+            return f"{got.render()} != {expected.render()}"
+        return None
+
+    failures = []
+    checked = 0
+    for alpha in sample:
+        alpha = tuple(alpha)
+        if len(alpha) != n:
+            raise ValueError(f"alpha {alpha} has wrong length")
+        checked += 1
+        if all(type(a) is int and -reach <= a <= reach for a in alpha):
+            rep = [a % p for a in alpha]
+            key = 0
+            for r in rep:
+                key = key * p + r
+            passed = classes.get((alpha[k], key))
+            if passed is None:
+                rep[k] = alpha[k]
+                passed = classes[alpha[k], key] = failure(tuple(rep)) is None
+            if passed:
+                continue
+        text = failure(alpha)
+        if text is not None:
+            failures.append((alpha, text))
     return InvarianceReport(seed.quiver.digest(), k, p, checked,
                             tuple(failures))
 

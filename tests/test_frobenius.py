@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clusterfrob import (GF, FieldMismatchError, LaurentPoly,
-                         MutationAtFrozenError, NotAcyclicError,
-                         RationalExpr, SplittingMap, cluster_substitution,
-                         corpus, freg_witness_sink, frobenius, hom_generator,
+from clusterfrob import (GF, BudgetExceededError, FieldMismatchError,
+                         LaurentPoly, MutationAtFrozenError, NotAcyclicError,
+                         NotDivisibleError, RationalExpr, SplittingMap,
+                         cluster_substitution, corpus, express_rational,
+                         freg_witness_sink, frobenius, hom_generator,
                          initial_seed, split_apply,
                          splitting_invariance_check, standard_split)
 
@@ -217,16 +218,18 @@ def test_invariance_rejects_frozen_vertex():
         splitting_invariance_check(seed, 1, 3, small_box(2, 3))
 
 
+MUL_SPLIT = LaurentPoly.mul_split
+
+
+def split_off_by_one(self, other, q, r, groups=None):
+    """Keeps the exponents = r + 1 mod q, stored at (e - r - 1)/q: a
+    p^(-1)-linear map, but not the standard splitting."""
+    return MUL_SPLIT(self, other, q, r + 1, groups)
+
+
 def test_invariance_fails_for_a_split_off_by_one(monkeypatch):
-    # keeping the exponents = 1 mod p, stored at (e - 1)/p, is a
-    # p^(-1)-linear map but not the standard splitting: it must be caught
-    # in the fused split the check runs
-    mul_split = LaurentPoly.mul_split
-
-    def shifted(self, other, q, r, groups=None):
-        return mul_split(self, other, q, 1, groups)
-
-    monkeypatch.setattr(LaurentPoly, "mul_split", shifted)
+    # the mutant must be caught in the fused split the check runs
+    monkeypatch.setattr(LaurentPoly, "mul_split", split_off_by_one)
     seed = initial_seed(corpus.load("a2"), GF(3))
     for k in (0, 1):
         report = splitting_invariance_check(seed, k, 3, small_box(2, 3))
@@ -253,33 +256,135 @@ def per_vector_images(seed, k, p, sample):
         yield split_apply(m, xk_new ** alpha[k] * mono)
 
 
+def per_vector_report(seed, k, p, sample):
+    """The check's (checked, failures) with every vector split, re-read
+    and compared on its own, its slow twin."""
+    fld, n = seed.field, seed.n
+    steps = cluster_substitution(seed, (k,))
+    (_, numer), = steps
+    xk_new = RationalExpr(numer * LaurentPoly.variable(fld, n, k).inverse())
+    failures = []
+    for alpha in sample:
+        power = xk_new ** alpha[k]
+        a, b = power.num, power.den
+        c = a if b.is_one() else a * b ** (p - 1)
+        mono = LaurentPoly.monomial(fld, n, alpha[:k] + (0,) + alpha[k + 1:])
+        image = RationalExpr(c.mul_split(mono, p, 0), b).simplify()
+        moved = express_rational(image, steps)
+        if all(a % p == 0 for a in alpha):
+            expected = LaurentPoly.monomial(
+                fld, n, tuple(a // p for a in alpha))
+        else:
+            expected = LaurentPoly.zero(fld, n)
+        try:
+            got = moved.as_laurent()
+        except NotDivisibleError:
+            failures.append((alpha, "image is not Laurent in the mutated "
+                                    "cluster: " + moved.render()))
+            continue
+        if got != expected:
+            failures.append(
+                (alpha, f"{got.render()} != {expected.render()}"))
+    return len(sample), tuple(failures)
+
+
+def representatives(sample, k, p):
+    """One vector per class (alpha_k, alpha mod p off k), in the order
+    the classes first occur: alpha mod p with alpha_k at k."""
+    reps = {}
+    for alpha in sample:
+        rep = tuple(a if i == k else a % p for i, a in enumerate(alpha))
+        reps.setdefault(rep, None)
+    return list(reps)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize(
     "name", ["a2", "a3", "markov", "mixed-pair", "cycle3-frozen"])
 def test_invariance_images_match_per_vector_split_apply(name, p,
                                                         monkeypatch):
-    # the check caches the cleared x'^alpha_k and splits c * x^m in one
-    # fused step; every image must be the old path's, term for term
+    # the check re-reads one representative per residue class: its report
+    # must be the per-vector twin's, texts and order included, also under
+    # a split mutant that fails it; and each image it re-reads must be
+    # split_apply's at that representative, term for term
     images = []
-    express_rational = frobenius.express_rational
+    moving = frobenius.express_rational
 
     def recording(image, steps):
         images.append(image)
-        return express_rational(image, steps)
+        return moving(image, steps)
 
     monkeypatch.setattr(frobenius, "express_rational", recording)
     q = corpus.load(name)
     initial = initial_seed(q, GF(p))
     sample = small_box(q.n, p)
-    for seed in (initial, initial.mutate(min(q.mutable))):
+    seeds = (initial, initial.mutate(min(q.mutable)))
+    for seed in seeds:
         for k in sorted(q.mutable):
             images.clear()
             report = splitting_invariance_check(seed, k, p, sample)
             assert report.ok, (name, p, k, report.failures[:1])
-            assert len(images) == len(sample)
+            assert ((report.checked, report.failures)
+                    == per_vector_report(seed, k, p, sample))
+            reps = representatives(sample, k, p)
+            assert len(images) == len(reps)
             for alpha, got, want in zip(
-                    sample, images, per_vector_images(seed, k, p, sample)):
+                    reps, images, per_vector_images(seed, k, p, reps)):
                 assert (got.num, got.den) == (want.num, want.den), alpha
+    monkeypatch.setattr(LaurentPoly, "mul_split", split_off_by_one)
+    for seed in seeds:
+        for k in sorted(q.mutable):
+            report = splitting_invariance_check(seed, k, p, sample)
+            assert not report.ok
+            assert ((report.checked, report.failures)
+                    == per_vector_report(seed, k, p, sample))
+
+
+@st.composite
+def shift_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    q = p ** draw(st.integers(min_value=1, max_value=2))
+    r = draw(st.sampled_from([0, q - 1]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    c = draw(gf_polys(p, n, max_size=8))
+    rho = draw(st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * n))
+    beta = draw(st.tuples(*[st.integers(min_value=-5, max_value=5)] * n))
+    return p, q, r, c, rho, beta
+
+
+@given(shift_cases())
+def test_mul_split_of_a_shifted_monomial_is_a_unit_shift(case):
+    # the identity behind the check's residue classes:
+    # split(c * x^(rho + q*beta)) = x^beta * split(c * x^rho)
+    p, q, r, c, rho, beta = case
+    fld, n = GF(p), c.n
+    far = LaurentPoly.monomial(fld, n, [a + q * b for a, b in zip(rho, beta)])
+    near = c.mul_split(LaurentPoly.monomial(fld, n, rho), q, r)
+    shifted = LaurentPoly.monomial(fld, n, beta) * near
+    assert (list(c.mul_split(far, q, r).terms.items())
+            == list(shifted.terms.items()))
+
+
+def test_invariance_edge_vectors_raise_as_checked_alone():
+    # a vector with an entry past the class bound or not an int is
+    # checked on its own, even after a vector of its residue class, so it
+    # passes or raises as it does alone
+    seed = initial_seed(corpus.load("a2"), GF(3))
+    big = 3 * 2 ** 62
+    for sample, k, error, text in (
+            ([(0, 0), (0, big)], 0, OverflowError, "64-bit range"),
+            ([(2 ** 63 - 1, 0)], 0, BudgetExceededError, "max_raw_products"),
+            ([(1.0, 0)], 0, TypeError, "float"),
+            ([(0, 0), (0, 3.0)], 0, ValueError, "not an int"),
+            ([(1, 0), (1.0, 0)], 1, ValueError, "not an int"),
+            ([(1, 2, 3)], 0, ValueError, "wrong length")):
+        with pytest.raises(error, match=text):
+            splitting_invariance_check(seed, k, 3, sample)
+    for sample, k in (([(0, 1), (0, big + 1)], 0),
+                      ([(1, 0), (True, 0)], 0),
+                      ([(1, 0), (True, 0)], 1)):
+        report = splitting_invariance_check(seed, k, 3, sample)
+        assert report.ok and report.checked == 2
 
 
 def test_invariance_boxes_at_p7():
@@ -295,7 +400,24 @@ def test_invariance_boxes_at_p7():
             checked += report.checked
     assert checked == 148_016
     elapsed = time.perf_counter() - t0
-    assert elapsed < 20.0, f"{elapsed:.1f}s"
+    assert elapsed < 5.0, f"{elapsed:.1f}s"
+
+
+def test_invariance_boxes_at_p5_at_a_mutated_seed():
+    # criterion 3 checks these boxes at the initial seeds
+    t0 = time.perf_counter()
+    checked = 0
+    for name in ("a3", "markov"):
+        q = corpus.load(name)
+        seed = initial_seed(q, GF(5)).mutate(0)
+        sample = list(itertools.product(range(-10, 11), repeat=q.n))
+        for k in sorted(q.mutable):
+            report = splitting_invariance_check(seed, k, 5, sample)
+            assert report.ok, (name, k, report.failures[:1])
+            checked += report.checked
+    assert checked == 55_566
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"{elapsed:.1f}s"
 
 
 # -- sink witnesses ----------------------------------------------------------------
