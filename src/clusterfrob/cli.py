@@ -498,8 +498,7 @@ def main(argv=None) -> int:
         _stderr_time(started)
         return MATH_EXIT
     except (QuiverFormatError, BudgetExceededError, MutationAtFrozenError,
-            argparse.ArgumentTypeError, ValueError, OverflowError,
-            ZeroDivisionError) as exc:
+            argparse.ArgumentTypeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _stderr_time(started)
         return USAGE_EXIT

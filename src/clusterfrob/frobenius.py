@@ -161,9 +161,8 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
     the check decides each class (alpha_k, rho) once, on that
     representative.  The vectors of a failing class are checked one by
     one, so the failures and their texts are those of a per-vector check.
-    A vector with an entry that is not an int, or above 2^56 / (p * d)
-    in size, d the largest exponent of N_k, is checked on its own, so it
-    raises what a per-vector check raises.
+    A vector of the wrong length, or with an entry that is not an int,
+    raises ValueError before any of its work; a bool counts as 0 or 1.
 
     Budgets: the product for each alpha_k is charged once, and a split
     charges only the pairs it keeps, under `max_terms` and the raw
@@ -176,14 +175,6 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
     (_, numer), = steps
     xk_new = RationalExpr(numer * LaurentPoly.variable(fld, n, k).inverse())
     powers: dict[int, tuple] = {}
-    # The exponents formed for a representative are below
-    # 16 * p * (|alpha_k| + 1) * d in size, d >= 1 the largest exponent of
-    # N_k: c's are at most p * |alpha_k| * d, the split's pairs at most
-    # that plus p, and what the divisions and the re-reading form at most
-    # 6 * |alpha_k| * d + 1.  alpha's own differ from them by at most
-    # |alpha_i| + p.  With every entry at most `reach`, both stay below
-    # 2^62, inside the 64-bit exponent range.
-    reach = 2 ** 56 // (p * max(map(max, numer.terms)))
     classes: dict[tuple[int, int], bool] = {}
 
     def failure(alpha):
@@ -219,18 +210,20 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
         alpha = tuple(alpha)
         if len(alpha) != n:
             raise ValueError(f"alpha {alpha} has wrong length")
+        for a in alpha:
+            if not isinstance(a, int):
+                raise ValueError(f"alpha {alpha} has entry {a!r}, not an int")
         checked += 1
-        if all(type(a) is int and -reach <= a <= reach for a in alpha):
-            rep = [a % p for a in alpha]
-            key = 0
-            for r in rep:
-                key = key * p + r
-            passed = classes.get((alpha[k], key))
-            if passed is None:
-                rep[k] = alpha[k]
-                passed = classes[alpha[k], key] = failure(tuple(rep)) is None
-            if passed:
-                continue
+        rep = [a % p for a in alpha]
+        key = 0
+        for r in rep:
+            key = key * p + r
+        passed = classes.get((alpha[k], key))
+        if passed is None:
+            rep[k] = alpha[k]
+            passed = classes[alpha[k], key] = failure(tuple(rep)) is None
+        if passed:
+            continue
         text = failure(alpha)
         if text is not None:
             failures.append((alpha, text))

@@ -26,56 +26,38 @@ whole pairwise work once, by `_charge`, before it forms any pair:
 len(a) * len(b) for a product, len(b) for a cancellation step, and the
 pairs in the kept residue class for the fused split.  Every kernel
 writes the allowance back once its output is formed (a product's terms,
-a cancellation step's row), so a call stopped by the range guard is
-charged nothing and one stopped by max_terms the whole work.
+a cancellation step's row), so a call stopped by max_terms is charged
+the whole work.
 
 Large products and exact division run on packed keys.  Support extremes
 add under multiplication, so the box of every exponent a call can form is
 known before it forms any pair.  Over that box an exponent tuple packs
 into one mixed-radix int, coordinate 0 the most significant digit, so
 that int order is lex order and adding two keys adds their exponents with
-no carry: a pair costs one int addition instead of a tuple and its range
-check.  `mul_terms` packs when its pairs number at least `_PACK_MIN`,
-and unpacks each output term once.  Smaller products hardly merge, and
-for them packing and unpacking cost more than they save, so they keep
-the tuple loop; so does a product whose box leaves the exponent range,
-which then raises at the pair where it always has.  The division packs
-the dividend and the divisor once per call, and `submul_terms` works on
-those keys.  The term map every caller sees keeps its exponent tuples.
+no carry: a pair costs one int addition instead of a tuple.  `mul_terms`
+packs when its pairs number at least `_PACK_MIN`, and unpacks each
+output term once.  Smaller products hardly merge, and for them packing
+and unpacking cost more than they save, so they keep the tuple loop.
+The division packs the dividend and the divisor once per call, and
+`submul_terms` works on those keys.  The term map every caller sees
+keeps its exponent tuples.
 
-Exponents are kept inside signed 64-bit range; going out of range raises
-OverflowError.  A packed product checks its box against the range once,
-before any pair, which is exact because the box's extremes are attained
-by pairs.
+Exponents are Python ints, exact at any size, and so are packed keys,
+however wide the box.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import BudgetExceededError
 from .fields import qq_canonical
-
-_EXP_MAX = 2**63 - 1
-_EXP_MIN = -(2**63)
 
 # The fewest pairs a product packs its keys for.  Timed per product on
 # the benchmark workloads, packing made products of under 24 pairs
 # 1.2-2.6x slower and products of 32 pairs or more faster.
 _PACK_MIN = 32
-
-
-def _checked_add(ea, eb):
-    e = tuple(map(int.__add__, ea, eb))
-    for x in e:
-        if x > _EXP_MAX or x < _EXP_MIN:
-            raise OverflowError("exponent outside 64-bit range")
-    return e
-
-
-def in_range(lo, hi):
-    """Whether the box [lo, hi] lies inside the 64-bit exponent range."""
-    return min(lo) >= _EXP_MIN and max(hi) <= _EXP_MAX
 
 
 def box(terms):
@@ -185,36 +167,35 @@ def mul_terms(a, b, p, max_terms, raw):
         lo_b, hi_b = box(b)
         lo = [x + y for x, y in zip(lo_a, lo_b)]
         hi = [x + y for x, y in zip(hi_a, hi_b)]
-        if in_range(lo, hi):
-            radix = radices(lo, hi)
-            out = {}
-            get = out.get
-            bitems = pack_terms(b, lo_b, radix)
-            for ka, ca in pack_terms(a, lo_a, radix):
-                for kb, cb in bitems:
-                    k = ka + kb
-                    old = get(k)
-                    v = ca * cb if old is None else old + ca * cb
-                    if p:
-                        v %= p
-                    elif type(v) is Fraction and v.denominator == 1:
-                        v = v.numerator
-                    if v:
-                        out[k] = v
-                    elif old is not None:
-                        del out[k]
-                if len(out) > max_terms:
-                    raw[0] = remaining
-                    raise BudgetExceededError(
-                        "max_terms", f"product exceeded {max_terms} terms")
-            raw[0] = remaining
-            return dict(zip(unpack(out, lo, radix), out.values()))
+        radix = radices(lo, hi)
+        out = {}
+        get = out.get
+        bitems = pack_terms(b, lo_b, radix)
+        for ka, ca in pack_terms(a, lo_a, radix):
+            for kb, cb in bitems:
+                k = ka + kb
+                old = get(k)
+                v = ca * cb if old is None else old + ca * cb
+                if p:
+                    v %= p
+                elif type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
+                if v:
+                    out[k] = v
+                elif old is not None:
+                    del out[k]
+            if len(out) > max_terms:
+                raw[0] = remaining
+                raise BudgetExceededError(
+                    "max_terms", f"product exceeded {max_terms} terms")
+        raw[0] = remaining
+        return dict(zip(unpack(out, lo, radix), out.values()))
     out = {}
     get = out.get
     bitems = list(b.items())
     for ea, ca in a.items():
         for eb, cb in bitems:
-            e = _checked_add(ea, eb)
+            e = tuple(map(add, ea, eb))
             old = get(e)
             v = ca * cb if old is None else old + ca * cb
             if p:
@@ -262,9 +243,9 @@ def mul_split_terms(a, b, groups, p, q, r, max_terms, raw):
     Only those pairs are formed.  `groups` is `residue_groups(b, q)`,
     and each term of a meets the one group that completes its residue to
     r in every coordinate.  The call is charged the pairs this scan
-    finds, before any is formed; `max_terms` and the range guard apply as
-    in mul_terms.  Pairs outside the residue class are never formed, so
-    they are neither charged nor range-checked."""
+    finds, before any is formed; `max_terms` applies as in mul_terms.
+    Pairs outside the residue class are never formed, so they are not
+    charged."""
     if not a or not b:
         return {}
     rows = []
@@ -279,7 +260,7 @@ def mul_split_terms(a, b, groups, p, q, r, max_terms, raw):
     get = out.get
     for ea, ca, group in rows:
         for eb in group:
-            e = tuple((x - r) // q for x in _checked_add(ea, eb))
+            e = tuple([(x + y - r) // q for x, y in zip(ea, eb)])
             v = (get(e, 0) + ca * b[eb]) % p
             if v:
                 out[e] = v
@@ -298,19 +279,18 @@ def scale_shift_terms(a, e0, c0, p):
     so nothing merges, and a coefficient 1 multiplies nothing.  Over
     GF(p) no coefficient vanishes, since p is prime."""
     if c0 == 1:
-        return {_checked_add(e0, e): c for e, c in a.items()}
+        return {tuple(map(add, e0, e)): c for e, c in a.items()}
     if p:
-        return {_checked_add(e0, e): c0 * c % p for e, c in a.items()}
-    return {_checked_add(e0, e): qq_canonical(c0 * c) for e, c in a.items()}
+        return {tuple(map(add, e0, e)): c0 * c % p for e, c in a.items()}
+    return {tuple(map(add, e0, e)): qq_canonical(c0 * c)
+            for e, c in a.items()}
 
 
 def submul_terms(rem, k0, c0, b, p, raw):
     """In place, on packed keys: rem -= c0 * x^e0 * b, where k0 is the
     key offset of the row, so that the row's key of a term of b is k0
     plus its key.  Returns the keys the row created.  Charged len(b) raw
-    products, like a product with one-term factor.  The row is not
-    range-checked here: its keys lie inside the dividend's box, and the
-    division checks the rows of a dividend that leaves the range."""
+    products, like a product with one-term factor."""
     remaining = _charge(raw, len(b))
     created = []
     get = rem.get

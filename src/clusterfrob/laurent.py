@@ -29,6 +29,7 @@ import heapq
 import re
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from operator import sub
 
 from . import budgets, kernels
 from .errors import FieldMismatchError, NotDivisibleError, BudgetExceededError
@@ -293,12 +294,9 @@ class LaurentPoly:
 
         The remainder runs on keys packed over the dividend's box, which
         holds every remainder term and every row of a quotient term in
-        the quotient box.  So a row is range-checked only when the
-        dividend leaves the exponent range, and then by its box, whose
-        extremes its terms attain.  The heap holds negated keys, whose
-        int order is lex order, and gets only the keys a row creates.
-        Only the popped leading key is unpacked, to form the quotient
-        exponent."""
+        the quotient box.  The heap holds negated keys, whose int order
+        is lex order, and gets only the keys a row creates.  Only the
+        popped leading key is unpacked, to form the quotient exponent."""
         field = self.field
         p = field.char
         lo_a, hi_a = self.support_box()
@@ -309,13 +307,9 @@ class LaurentPoly:
             raise NotDivisibleError("no quotient: empty support box")
 
         eb, cb = divisor.leading_term()
-        neg_eb = tuple(-x for x in eb)
         cb_inv = field.invert(cb)
         bres = budgets.current()
         raw = budgets.raw_allowance()
-        # a row lies inside the dividend's box, so it can leave the
-        # exponent range only when the dividend does
-        guard_rows = not kernels.in_range(lo_a, hi_a)
         radix = kernels.radices(lo_a, hi_a)
         rem = dict(kernels.pack_terms(self.terms, lo_a, radix))
         row = dict(kernels.pack_terms(divisor.terms, lo_b, radix))
@@ -334,17 +328,12 @@ class LaurentPoly:
                 if cr is not None:
                     break
             er, = kernels.unpack((k,), lo_a, radix)
-            et = kernels._checked_add(er, neg_eb)  # range guard, as in shifts
+            et = tuple(map(sub, er, eb))
             if any(not lo[i] <= et[i] <= hi[i] for i in range(self.n)):
                 raise NotDivisibleError(
                     "no quotient: leading term leaves the support box")
             ct = cr * cb_inv % p if p else qq_canonical(cr * cb_inv)
             quotient[et] = ct
-            if guard_rows and not kernels.in_range(
-                    [x + y for x, y in zip(et, lo_b)],
-                    [x + y for x, y in zip(et, hi_b)]):
-                kernels._charge(raw, len(row))  # first, as in a row
-                raise OverflowError("exponent outside 64-bit range")
             for key in kernels.submul_terms(rem, k - kb, ct, row, p, raw):
                 heapq.heappush(heap, -key)
             if len(quotient) > bres.max_terms:

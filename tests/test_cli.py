@@ -346,21 +346,23 @@ def test_zero_denominator_coefficient_is_usage_error(capsys):
                           "zero denominator in '1/0'\n")
 
 
-def test_exponent_out_of_range_is_usage_error(capsys):
+def test_exponent_past_two_to_the_63_is_exact(capsys):
     code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
                          "--lhs", f"x1^{2**63 - 1}", "--rhs", "x1")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: exponent outside 64-bit range")
+    assert code == 0
+    assert "witness value: x1^9223372036854775808\n" in out
+    assert "result: PASS" in out
 
 
-def test_quotient_exponent_out_of_range_is_usage_error(capsys):
-    code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "div",
-                         "--lhs", f"x1^{2**63 - 1} + x1^{2**63 - 2}",
-                         "--rhs", "x1^-1 + x1^-2")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: exponent outside 64-bit range")
+def test_quotient_exponent_past_two_to_the_63_is_exact(capsys):
+    # a multi-term divisor, through the cancellation loop, and a monomial
+    for lhs, rhs in ((f"x1^{2**63 - 1} + x1^{2**63 - 2}", "x1^-1 + x1^-2"),
+                     (f"x1^{2**63 - 1}", "x1^-1")):
+        code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "div",
+                             "--lhs", lhs, "--rhs", rhs)
+        assert code == 0
+        assert "witness value: x1^9223372036854775808\n" in out
+        assert "check quotient-times-divisor: pass\n" in out
 
 
 def test_composite_prime_rejected(capsys):

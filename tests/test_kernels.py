@@ -1,4 +1,5 @@
-"""Term-dict kernels: arithmetic, budgets and overflow guards."""
+"""Term-dict kernels: arithmetic, budgets, and exact exponents of any
+size."""
 
 from fractions import Fraction
 
@@ -75,8 +76,8 @@ def test_raw_allowance_fresh_outside_meter():
 
 
 def test_mul_over_allowance_raises_before_any_pair():
-    # the first pair leaves 64-bit range, but the call's work (4 pairs)
-    # is over the allowance, so it raises before forming that pair
+    # the call's work (4 pairs) is over the allowance, so it raises
+    # before forming any pair, the first of which lands on 2^63
     a = {(2**62,): 1, (0,): 1}
     b = {(2**62,): 1, (1,): 1}
     allowance = [2]
@@ -97,10 +98,18 @@ def test_mul_term_budget_charges_the_whole_work():
 
 
 def test_exponent_overflow_guard():
-    big = 2**62
-    a = {(big,): 1}
-    with pytest.raises(OverflowError):
-        kernels.mul_terms(a, a, 0, 10**6, fresh())
+    # exponents are Python ints, so a product past 2^63 is exact: the
+    # one-term shift and the tuple loop
+    top = 2**63 - 1
+    assert kernels.mul_terms({(top,): 1}, {(1,): 1}, 0, 10**6,
+                             fresh()) == {(2**63,): 1}
+    a = {(top,): 1, (0,): 1}
+    b = {(1,): 1, (0,): 2}
+    assert list(kernels.mul_terms(a, b, 0, 10**6, fresh()).items()) == \
+        [((2**63,), 1), ((top,), 2), ((1,), 1), ((0,), 2)]
+    low = {(-2**63,): 3, (0,): 1}
+    assert kernels.mul_terms(low, b, 5, 10**6, fresh()) == \
+        {(1 - 2**63,): 3, (-2**63,): 1, (1,): 1, (0,): 2}
 
 
 # -- fused multiply-and-split ------------------------------------------------
@@ -173,7 +182,8 @@ def test_mul_split_respects_term_budget():
 
 
 def test_mul_split_over_allowance_raises_before_any_pair():
-    # all four pairs are in the kept class, the first leaves 64-bit range
+    # all four pairs are in the kept class, the first lands past 2^63,
+    # and the call's work is over the allowance, so none is formed
     a = {(5 * 2**60,): 1, (0,): 1}
     b = {(5 * 2**60,): 1, (5,): 1}
     allowance = [2]
@@ -184,10 +194,13 @@ def test_mul_split_over_allowance_raises_before_any_pair():
 
 
 def test_mul_split_overflow_guard():
-    # the pair lands in the kept class, and its sum leaves 64-bit range
-    a = {(5 * 2**60,): 1}
-    with pytest.raises(OverflowError):
-        mul_split(a, a, 5, 5, 0, 10**6, fresh())
+    # the pairs land in the kept class, at 5 * 2^61 past 2^63 and at
+    # 5 * 2^60 + 5, and are stored exactly at a fifth of that
+    a = {(5 * 2**60,): 1, (5,): 2}
+    allowance = [10]
+    assert mul_split(a, a, 5, 5, 0, 10**6, allowance) == \
+        {(2**61,): 1, (2**60 + 1,): 4, (2,): 4}
+    assert allowance[0] == 6
 
 
 # -- one-term factors: the shift path ---------------------------------------
@@ -275,13 +288,15 @@ def test_mul_one_term_factor_budgets_match_general_row(case):
 
 @pytest.mark.parametrize("p", [0, 5])
 def test_mul_one_term_factor_overflow_guard(p):
-    a = {(2**62,): 1}
-    b = {(0,): 1, (2**62,): 1}
-    for x, y in ((a, b), (b, a)):
-        allowance = [10]
-        with pytest.raises(OverflowError):
-            kernels.mul_terms(x, y, p, 10**6, allowance)
-        assert allowance[0] == 10  # as in the general row: nothing charged
+    # the shift past 2^63 is exact, with coefficient 1 and without
+    b = {(0,): 1, (2**62,): 3}
+    for c in (1, 3):
+        a = {(2**62,): c}
+        want = {(2**62,): c, (2**63,): 3 * c % p if p else 3 * c}
+        for x, y in ((a, b), (b, a)):
+            allowance = [10]
+            assert kernels.mul_terms(x, y, p, 10**6, allowance) == want
+            assert allowance[0] == 8
 
 
 # -- every accumulation loop against a plain dict ----------------------------
@@ -402,14 +417,14 @@ def test_submul_charges_raw_allowance(p):
 
 @pytest.mark.parametrize("p", [0, 5])
 def test_submul_overflow_leaves_the_allowance(p):
-    # submul rows are not range-checked: the division checks the quotient
-    # exponent, here 2^63, before its row is formed, so nothing is charged
+    # the quotient exponent 2^63 is exact, and its one row is charged
+    # its two raw products
     field = GF(p) if p else QQ
     num = LaurentPoly.from_terms(field, 1, {(2**63 - 1,): 1, (2**63 - 2,): 1})
     den = LaurentPoly.from_terms(field, 1, {(-1,): 1, (-2,): 1})
-    with budgets.raw_meter(10) as meter, pytest.raises(OverflowError):
-        num.exact_divide(den)
-    assert meter == [10]
+    with budgets.raw_meter(10) as meter:
+        assert num.exact_divide(den).terms == {(2**63,): 1}
+    assert meter == [8]
 
 
 def test_backend_reports():
@@ -421,8 +436,8 @@ def test_backend_reports():
 
 def tuple_mul_terms(a, b, p, max_terms, raw):
     """The product kernel as it was before packed keys: every pair forms
-    its exponent tuple and range-checks it.  The reference of mul_terms,
-    order of the output included."""
+    its exponent tuple.  The reference of mul_terms, order of the output
+    included."""
     if not a or not b:
         return {}
     if len(a) > len(b):
@@ -435,8 +450,6 @@ def tuple_mul_terms(a, b, p, max_terms, raw):
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            if any(not -2**63 <= x < 2**63 for x in e):
-                raise OverflowError("exponent outside 64-bit range")
             old = out.get(e)
             v = ca * cb if old is None else old + ca * cb
             if p:
@@ -462,17 +475,22 @@ def outcome(mul, a, b, p, max_terms, raw):
         got = list(mul(a, b, p, max_terms, allowance).items())
     except BudgetExceededError as exc:
         got = exc.budget
-    except OverflowError:
-        got = "overflow"
     return got, allowance[0]
+
+
+# offsets of exponents in the packed-vs-tuple oracles: past +-2^63 and
+# +-2^64 on their own, and so far apart that a box spans more than 2^64
+WIDE_OFFSETS = [0, 0, 0, 2**62, -2**62, 2**64, -2**64, 2**80]
 
 
 @st.composite
 def packed_cases(draw):
     """Products on both sides of the packing rule, with negative
-    exponents, cancelling and integral-making terms as in term_cases,
-    and in some coordinates an offset of +-2^62, so that the product's
-    box can leave the 64-bit range in part or in whole."""
+    exponents, cancelling and integral-making terms as in term_cases.
+    Each factor is moved by an offset as large as 2^80 in some
+    coordinates, and some of its terms by another, so that the box of
+    the product can pass +-2^63 in part or in whole and be wider than
+    2^64 in a coordinate: the packed keys are then wider than 64 bits."""
     p = draw(st.sampled_from([0, 2, 3, 5]))
     nvars = draw(st.integers(min_value=1, max_value=3))
     exps = st.tuples(*[st.integers(min_value=-4, max_value=4)] * nvars)
@@ -483,10 +501,13 @@ def packed_cases(draw):
         b[e] = (-a[e]) % p if p else -a[e]
     for e in draw(st.sets(st.sampled_from(sorted(a)))):
         b[e] = a[e]
-    offsets = st.tuples(*[st.sampled_from([0, 0, 0, 2**62, -2**62])] * nvars)
+    offsets = st.tuples(*[st.sampled_from(WIDE_OFFSETS)] * nvars)
     for terms in (a, b):
         shift = draw(offsets)
-        shifted = {tuple(x + s for x, s in zip(e, shift)): c
+        far = draw(offsets)
+        moved = draw(st.sets(st.sampled_from(sorted(terms))))
+        shifted = {tuple(x + s + (f if e in moved else 0)
+                         for x, s, f in zip(e, shift, far)): c
                    for e, c in terms.items()}
         terms.clear()
         terms.update(shifted)
@@ -500,6 +521,8 @@ def packed_cases(draw):
           {(2 * j,): Fraction(1, 2) for j in range(7)}, 40, 28))  # 28 pairs
 @example((0, {(i,): i + 1 for i in range(4)},
           {(2 * j,): Fraction(-1, 3) for j in range(8)}, 40, 32))  # 32 pairs
+@example((3, {(i, 2**80 * (i % 2)): 1 + i % 2 for i in range(6)},
+          {(-2**64 * j, j): 2 for j in range(6)}, 40, 36))  # keys past 2^128
 @given(packed_cases())
 def test_mul_matches_the_tuple_loop(case):
     # terms, their order, the error raised and the allowance left, on
@@ -514,10 +537,10 @@ def test_mul_matches_the_tuple_loop(case):
 @pytest.mark.parametrize("size", [kernels._PACK_MIN // 2 - 1,
                                   kernels._PACK_MIN // 2])
 def test_packing_rule_sides_match_the_tuple_loop(size):
-    # a 2 x size product on each side of the rule whose last pair leaves
-    # the 64-bit range, under term caps that stop it in its first row or
-    # not at all, and allowances that cover it or not; then one whose
-    # last pair lands on the top of the range
+    # a 2 x size product on each side of the rule whose last pair lands
+    # on 2^63, under term caps that stop it in its first row or not at
+    # all, and allowances that cover it or not; then one whose last pair
+    # lands on 2^63 - 1
     a = {(0,): 1, (2**62,): 3}
     b = {(i,): Fraction(1, i + 2) for i in range(size - 1)}
     b[(2**62,)] = 1
@@ -525,6 +548,8 @@ def test_packing_rule_sides_match_the_tuple_loop(size):
         for raw in (2 * size - 1, 2 * size):
             assert outcome(kernels.mul_terms, a, b, 0, max_terms, raw) == \
                 outcome(tuple_mul_terms, a, b, 0, max_terms, raw)
+    got = outcome(kernels.mul_terms, a, b, 0, 10**6, 10**6)
+    assert got[0][-1] == ((2**63,), 3)
     del b[(2**62,)]
     b[(2**62 - 1,)] = 1
     got = outcome(kernels.mul_terms, a, b, 0, 10**6, 10**6)

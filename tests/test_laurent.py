@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clusterfrob import (GF, QQ, BudgetExceededError, FieldMismatchError,
@@ -272,19 +272,24 @@ def test_division_bounded_like_a_product(field):
 
 
 def test_divide_by_monomial_guards_quotient_exponents():
+    # quotient exponents past +-2^63 are exact
     big = LaurentPoly.monomial(QQ, 1, (2**63 - 1,))
-    with pytest.raises(OverflowError):
-        big.exact_divide(LaurentPoly.monomial(QQ, 1, (-1,)))
+    assert big.exact_divide(LaurentPoly.monomial(QQ, 1, (-1,))) == \
+        LaurentPoly.monomial(QQ, 1, (2**63,))
+    low = lp(QQ, 2, [((-2**63, 1), 2), ((0, 0), 1)])
+    assert low.exact_divide(LaurentPoly.monomial(QQ, 2, (1, 0), 2)).terms == \
+        {(-2**63 - 1, 1): 1, (-1, 0): Fraction(1, 2)}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_divide_by_cancellation_guards_quotient_exponents(field):
-    # the true quotient x1^(2^63) has its one exponent out of range,
-    # although every divisor-term product it forms stays in range
+    # the true quotient x1^(2^63) is exact, although the dividend and
+    # the divisor lie below 2^63
     num = LaurentPoly.from_terms(field, 1, {(2**63 - 1,): 1, (2**63 - 2,): 1})
     den = LaurentPoly.from_terms(field, 1, {(-1,): 1, (-2,): 1})
-    with pytest.raises(OverflowError):
-        num.exact_divide(den)
+    quotient = num.exact_divide(den)
+    assert quotient == LaurentPoly.monomial(field, 1, (2**63,))
+    assert quotient * den == num
 
 
 @given(polys(QQ, 2, 5), polys(QQ, 2, 5))
@@ -668,9 +673,9 @@ def test_math_comb_sanity_for_oracle():
 
 def tuple_divide(num, den):
     """exact_divide as it was before packed keys, for a divisor of two or
-    more terms: a remainder of exponent tuples, a heap of every key a row
-    touches, and a range check on every row key.  The reference of the
-    packed division, order of the quotient included."""
+    more terms: a remainder of exponent tuples and a heap of every key a
+    row touches.  The reference of the packed division, order of the
+    quotient included."""
     field, p, n = num.field, num.field.char, num.n
     lo_a, hi_a = num.support_box()
     lo_b, hi_b = den.support_box()
@@ -678,11 +683,6 @@ def tuple_divide(num, den):
     hi = tuple(hi_a[i] - hi_b[i] for i in range(n))
     if any(lo[i] > hi[i] for i in range(n)):
         raise NotDivisibleError("empty support box")
-
-    def checked(e):
-        if any(not -2**63 <= x < 2**63 for x in e):
-            raise OverflowError("exponent outside 64-bit range")
-        return e
 
     eb, cb = den.leading_term()
     cb_inv = field.invert(cb)
@@ -700,7 +700,7 @@ def tuple_divide(num, den):
             cr = rem.get(er)
             if cr is not None:
                 break
-        et = checked(tuple(x - y for x, y in zip(er, eb)))
+        et = tuple(x - y for x, y in zip(er, eb))
         if any(not lo[i] <= et[i] <= hi[i] for i in range(n)):
             raise NotDivisibleError("leading term leaves the support box")
         ct = cr * cb_inv % p if p else field.coerce(cr * cb_inv)
@@ -710,7 +710,7 @@ def tuple_divide(num, den):
             raw[0] = 0
             raise BudgetExceededError("max_raw_products", "")
         for e0, c0 in den.terms.items():
-            e = checked(tuple(x + y for x, y in zip(et, e0)))
+            e = tuple(x + y for x, y in zip(et, e0))
             v = rem.get(e, 0) - ct * c0
             v = v % p if p else field.coerce(v)
             if v:
@@ -734,7 +734,7 @@ def division_outcome(divide, num, den, max_terms, raw):
             got = list(divide(num, den).terms.items())
         except BudgetExceededError as exc:
             got = exc.budget
-        except (NotDivisibleError, OverflowError) as exc:
+        except NotDivisibleError as exc:
             got = type(exc).__name__
         return got, meter[0]
 
@@ -743,9 +743,11 @@ def division_outcome(divide, num, den, max_terms, raw):
 def packed_divisions(draw):
     """num = q * den (two or more terms, as den has), sometimes with a
     term changed, over QQ (Fractions among the coefficients) and GF(p),
-    with negative exponents and in some coordinates exponents near
-    +-2^62 or the ends of the 64-bit range, so that a quotient exponent
-    can leave it."""
+    with negative exponents.  Each of q and den is moved by an offset
+    near +-2^62, +-2^63, +-2^64 or 2^80 in some coordinates, and some of
+    its terms by another, so that exponents pass +-2^63 and the
+    dividend's box can be wider than 2^64 in a coordinate: the packed
+    keys are then wider than 64 bits."""
     field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
     n = draw(st.integers(min_value=1, max_value=3))
     small = st.tuples(*[st.integers(min_value=-4, max_value=4)] * n)
@@ -754,19 +756,22 @@ def packed_divisions(draw):
     else:
         coeffs = st.fractions(min_value=-9, max_value=9,
                               max_denominator=4).filter(bool)
-    ends = [0, 0, 0, 2**62, -2**62, 2**63 - 8, -2**63 + 8]
-    shift_q = draw(st.tuples(*[st.sampled_from(ends)] * n))
-    shift_d = draw(st.tuples(*[st.sampled_from([0, 0, 2**62, -2**62])] * n))
+    ends = [0, 0, 0, 2**62, -2**62, 2**63 - 8, -2**63 + 8, 2**64, -2**64,
+            2**80]
+    offsets = st.tuples(*[st.sampled_from(ends)] * n)
 
-    def poly(shift, min_size, max_size):
+    def poly(min_size, max_size):
         terms = draw(st.dictionaries(small, coeffs, min_size=min_size,
                                      max_size=max_size))
+        shift, far = draw(offsets), draw(offsets)
+        moved = draw(st.sets(st.sampled_from(sorted(terms))))
         return LaurentPoly.from_terms(field, n, {
-            tuple(x + s for x, s in zip(e, shift)): c
+            tuple(x + s + (f if e in moved else 0)
+                  for x, s, f in zip(e, shift, far)): c
             for e, c in terms.items()})
 
-    q = poly(shift_q, 1, 8)
-    den = poly(shift_d, 2, 6)
+    q = poly(1, 8)
+    den = poly(2, 6)
     num = LaurentPoly.from_terms(field, n, oracle_mul(q.terms, den.terms,
                                                       field.char))
     if draw(st.booleans()):
@@ -777,10 +782,16 @@ def packed_divisions(draw):
     return num, den, max_terms, raw
 
 
+WIDE_Q = lp(QQ, 2, [((2**80, 0), 1), ((0, 2**64), Fraction(1, 2)),
+                    ((-2**64, 1), 3)])
+WIDE_D = lp(QQ, 2, [((0, 0), 1), ((-2**64, 1), 1), ((1, -2**80), 2)])
+
+
+@example((WIDE_Q * WIDE_D, WIDE_D, 10, 20))  # keys past 2^160
 @given(packed_divisions())
 def test_division_matches_the_tuple_division(case):
-    # quotient terms and their order, the error raised (range guard,
-    # support box, max_terms at the same step) and the allowance left
+    # quotient terms and their order, the error raised (support box,
+    # max_terms at the same step) and the allowance left
     num, den, max_terms, raw = case
     want = division_outcome(tuple_divide, num, den, max_terms, raw)
     assert division_outcome(LaurentPoly.exact_divide, num, den,
@@ -792,10 +803,16 @@ def test_division_matches_the_tuple_division(case):
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
 def test_division_range_guard_at_two_to_the_62(field):
-    # the quotient exponents are 1 - 2^63, -2^63 and then -2^63 - 1,
-    # which leaves the range after two rows of two raw products each
+    # the quotient exponents 1 - 2^63, -2^63 and -2^63 - 1 pass -2^63 and
+    # are exact, three rows of two raw products each; with the sign of
+    # the last dividend term flipped, the fourth candidate leaves the
+    # support box after the same three rows
     den = lp(field, 1, [((2**62,), 1), ((2**62 - 1,), 1)])
-    num = lp(field, 1, [((1 - 2**62,), 1), ((-2 - 2**62,), -1)])
+    num = lp(field, 1, [((1 - 2**62,), 1), ((-2 - 2**62,), 1)])
+    quotient = [((1 - 2**63,), 1), ((-2**63,), field.coerce(-1)),
+                ((-1 - 2**63,), 1)]
+    off = num - lp(field, 1, [((-2 - 2**62,), 2)])
     for divide in (tuple_divide, LaurentPoly.exact_divide):
-        assert division_outcome(divide, num, den, 10, 10) == \
-            ("OverflowError", 6)
+        assert division_outcome(divide, num, den, 10, 10) == (quotient, 4)
+        assert division_outcome(divide, off, den, 10, 10) == \
+            ("NotDivisibleError", 4)
