@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from operator import sub
@@ -409,23 +410,29 @@ class LaurentPoly:
             names = [f"x{i + 1}" for i in range(self.n)]
         rational = self.field.char == 0
         pieces: list[tuple[bool, str]] = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            negative = rational and c < 0
-            mag = -c if negative else c
-            factors = []
-            for i, a in enumerate(e):
-                if a == 0:
-                    continue
-                factors.append(names[i] if a == 1 else f"{names[i]}^{a}")
-            body = "*".join(factors)
-            if not body:
-                text = self.field.render(mag)
-            elif mag == self.field.one:
-                text = body
-            else:
-                text = f"{self.field.render(mag)}*{body}"
-            pieces.append((negative, text))
+        try:
+            for e in sorted(self.terms, reverse=True):
+                c = self.terms[e]
+                negative = rational and c < 0
+                mag = -c if negative else c
+                factors = []
+                for i, a in enumerate(e):
+                    if a == 0:
+                        continue
+                    factors.append(names[i] if a == 1 else f"{names[i]}^{a}")
+                body = "*".join(factors)
+                if not body:
+                    text = self.field.render(mag)
+                elif mag == self.field.one:
+                    text = body
+                else:
+                    text = f"{self.field.render(mag)}*{body}"
+                pieces.append((negative, text))
+        except ValueError as exc:  # only str() of an int past the limit
+            raise ValueError(
+                "cannot print the polynomial: an exponent or coefficient "
+                f"has more than {_digit_limit()} digits, the most this "
+                "interpreter converts to text") from exc
         first_neg, first = pieces[0]
         out = [f"-{first}" if first_neg else first]
         for negative, text in pieces[1:]:
@@ -437,6 +444,14 @@ class LaurentPoly:
 
 
 # -- parsing ------------------------------------------------------------------
+
+
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int converted from or
+    to text (`sys.set_int_max_str_digits`), 0 when there is none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
 
 _TOKEN = re.compile(r"\s*(?:(?P<var>x(?P<idx>\d+))(?:\^(?P<exp>-?\d+))?"
                     r"|(?P<num>\d+(?:/\d+)?)"
@@ -455,6 +470,14 @@ def parse_laurent(text: str, n: int, field) -> LaurentPoly:
 
     def fail(msg: str) -> ValueError:
         return ValueError(f"bad polynomial at offset {pos}: {msg}")
+
+    limit = _digit_limit()
+    if limit:
+        number = re.search(rf"\d{{{limit + 1},}}", text)
+        if number:
+            pos = number.start()
+            raise fail(f"a number of {len(number.group())} digits, more "
+                       f"than the {limit} this interpreter reads from text")
 
     # split into sign-separated terms first
     sign = 1

@@ -21,8 +21,14 @@ from .errors import (MutationAtFrozenError, NoMutableVertexError,
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
+def _check_row(b: Matrix, i: int) -> None:
+    """Row i's entries checked one by one, raising at the first that is
+    not an int or breaks skew-symmetry."""
+    for j in range(len(b)):
+        if not isinstance(b[i][j], int):
+            raise TypeError("exchange matrix entries must be ints")
+        if b[i][j] != -b[j][i]:
+            raise ValueError(f"matrix not skew-symmetric at ({i},{j})")
 
 
 @dataclass(frozen=True)
@@ -37,19 +43,18 @@ class Quiver:
         b = tuple(tuple(row) for row in self.b)
         if len(b) != self.n or any(len(row) != self.n for row in b):
             raise ValueError(f"exchange matrix must be {self.n}x{self.n}")
-        for i in range(self.n):
-            for j in range(self.n):
-                if not isinstance(b[i][j], int):
-                    raise TypeError("exchange matrix entries must be ints")
-                if b[i][j] != -b[j][i]:
-                    raise ValueError(
-                        f"matrix not skew-symmetric at ({i},{j})")
+        for i, row in enumerate(b):
+            col = [r[i] for r in b]
+            if not (all(isinstance(x, int) for x in row)
+                    and all(isinstance(x, int) for x in col)
+                    and row == tuple(-x for x in col)):
+                _check_row(b, i)
         frozen = frozenset(self.frozen)
         if not all(isinstance(v, int) and 0 <= v < self.n for v in frozen):
             raise ValueError("frozen set contains an out-of-range vertex")
         # isolated-vertex convention
-        for i in range(self.n):
-            if all(b[i][j] == 0 for j in range(self.n)):
+        for i, row in enumerate(b):
+            if not any(row):
                 frozen = frozen | {i}
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "frozen", frozen)
@@ -83,21 +88,27 @@ class Quiver:
     # -- mutation -------------------------------------------------------------
 
     def mutate(self, k: int) -> "Quiver":
-        """Quiver mutation at a mutable vertex k."""
+        """Quiver mutation at a mutable vertex k.  Only row k and the rows
+        i with b_ik != 0 change; every other row is kept as it is."""
         if not 0 <= k < self.n:
             raise IndexError(f"vertex {k} out of range")
         if k in self.frozen:
             raise MutationAtFrozenError(f"vertex {k} is frozen")
-        b = self.b
-        new = [[0] * self.n for _ in range(self.n)]
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == k or j == k:
-                    new[i][j] = -b[i][j]
-                else:
-                    correction = _sgn(b[i][k]) * max(b[i][k] * b[k][j], 0)
-                    new[i][j] = b[i][j] + correction
-        return Quiver(self.n, tuple(tuple(r) for r in new), self.frozen)
+        bk = self.b[k]
+        rows = []
+        for i, row in enumerate(self.b):
+            bik = row[k]
+            if i == k:
+                row = tuple(-x for x in row)
+            elif bik:
+                # b_ij += sgn(b_ik) max(b_ik b_kj, 0): b_ik |b_kj| when
+                # b_ik and b_kj have the same sign
+                new = [x + bik * abs(bkj) if (bkj > 0 if bik > 0 else bkj < 0)
+                       else x for x, bkj in zip(row, bk)]
+                new[k] = -bik
+                row = tuple(new)
+            rows.append(row)
+        return Quiver(self.n, tuple(rows), self.frozen)
 
     # -- structure tests --------------------------------------------------------
 

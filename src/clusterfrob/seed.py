@@ -3,9 +3,11 @@ variables.
 
 Every cluster variable is stored as its Laurent expansion relative to the
 initial cluster, so mutation itself witnesses the Laurent phenomenon: the
-exchange division must come out exact at every step, and from a quiver's
-initial seed a failure is a bug (LaurentViolationError).  A seed built
-from given `vars` can fail it when they are not a cluster of the quiver.
+new variable is the exact quotient (p_plus + p_minus) / x_k, and from a
+quiver's initial seed a failure is a bug (LaurentViolationError).  A seed
+built from given `vars` can fail it when they are not a cluster of the
+quiver.  `explore` proves each variable Laurent by division when it first
+finds it, and each later edge that yields it by one product.
 
 A change of cluster is a sequence of one-variable substitutions
 z_k -> N_k / z_k, one per mutation along the path (`cluster_substitution`
@@ -18,6 +20,7 @@ cluster z: they depend only on its quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from . import budgets
 from .errors import (BudgetExceededError, LaurentViolationError,
@@ -78,15 +81,38 @@ class Seed:
 
     # -- mutation -------------------------------------------------------------
 
-    def mutate(self, k: int) -> "Seed":
-        """Seed mutation at mutable vertex k; exact at every step."""
+    def mutate(self, k: int, known=None) -> "Seed":
+        """Seed mutation at mutable vertex k: the new k-th variable is the
+        exact quotient (p_plus + p_minus) / x_k.
+
+        `known`, which `explore` passes, maps a support box to the
+        variables found so far with that box.  Support extremes add under
+        products, so the quotient's box is that of p_plus + p_minus minus
+        that of x_k; a variable y in that box with x_k * y equal to
+        p_plus + p_minus is the quotient, since the Laurent ring is a
+        domain.  Only when no such y exists is the quotient found by
+        division, and it then joins the index."""
         plus, minus = self.exchange_monomials(k)
-        try:
-            new_var = (plus + minus).exact_divide(self.vars[k])
-        except NotDivisibleError as exc:
-            raise LaurentViolationError(
-                f"mutation at {k} produced a non-Laurent variable; "
-                f"this is a bug", k) from exc
+        exchange = plus + minus
+        x = self.vars[k]
+        new_var = bucket = None
+        if known is not None and not exchange.is_zero():
+            (lo_p, hi_p), (lo_x, hi_x) = exchange.support_box(), x.support_box()
+            bucket = known.setdefault((tuple(map(sub, lo_p, lo_x)),
+                                       tuple(map(sub, hi_p, hi_x))), [])
+            for y in bucket:
+                if x * y == exchange:
+                    new_var = y
+                    break
+        if new_var is None:
+            try:
+                new_var = exchange.exact_divide(x)
+            except NotDivisibleError as exc:
+                raise LaurentViolationError(
+                    f"mutation at {k} produced a non-Laurent variable; "
+                    f"this is a bug", k) from exc
+            if bucket is not None:
+                bucket.append(new_var)
         new_vars = list(self.vars)
         new_vars[k] = new_var
         return Seed(self.quiver.mutate(k), tuple(new_vars), self.path + (k,))
@@ -143,24 +169,37 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
     `depth` steps, deduplicating seeds by `Seed.key` (the cluster, with
     the quiver read in the cluster's order).  `closed` reports whether the
     frontier emptied within the bound, i.e. the whole exchange graph was
-    seen.  Mutation is an involution, so a seed the walk found by
-    mutating at k is not mutated at k again: that edge leads back."""
+    seen.
+
+    Each edge is crossed once.  Mutation is an involution, so when the
+    walk reaches t by mutating at k, mutating t's class at the vertex
+    carrying t's k-th variable leads back; that variable is recorded
+    under t's key and the vertex is skipped, in a relabeled copy of t
+    too.  The variables found are indexed by support box, so that a
+    known quotient is proved by one product (`Seed.mutate`)."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     max_seeds = budgets.current().max_seeds
-    seen = {seed.key(): seed}
+    key = seed.key()
+    seen = {key: seed}
+    crossed: dict = {}
+    known: dict = {}
+    for v in seed.vars:
+        known.setdefault(v.support_box(), []).append(v)
     order = [seed]
     variables = set(seed.vars)
-    frontier = [seed]
+    frontier = [(key, seed)]
     closed = False
     for _ in range(depth):
         nxt = []
-        for s in frontier:
+        for key, s in frontier:
+            back = crossed.get(key, ())
             for k in s.quiver.mutable:
-                if s is not seed and k == s.path[-1]:
+                if s.vars[k] in back:
                     continue
-                t = s.mutate(k)
+                t = s.mutate(k, known=known)
                 tk = t.key()
+                crossed.setdefault(tk, set()).add(t.vars[k])
                 if tk in seen:
                     continue
                 if len(seen) >= max_seeds:
@@ -168,7 +207,7 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
                         "max_seeds", f"exploration passed {max_seeds} seeds")
                 seen[tk] = t
                 order.append(t)
-                nxt.append(t)
+                nxt.append((tk, t))
                 variables.update(t.vars)
         if not nxt:
             closed = True

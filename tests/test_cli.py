@@ -365,6 +365,27 @@ def test_quotient_exponent_past_two_to_the_63_is_exact(capsys):
         assert "check quotient-times-divisor: pass\n" in out
 
 
+def test_numbers_past_the_interpreters_digit_limit_are_usage_errors(capsys):
+    # exact arithmetic goes on past the limit, but the text form cannot
+    # hold the number: a usage error that names the limit, on either side
+    nines = "9" * 4300
+    code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
+                         "--lhs", f"x1^{nines}", "--rhs", f"x1^{nines}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot print the polynomial: an exponent "
+                          "or coefficient has more than 4300 digits")
+    code, out, err = run(capsys, "laurent", "--vars", "1", "--op", "mul",
+                         "--lhs", f"x1^{nines}9", "--rhs", "x1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad polynomial at offset 3: a number of "
+                          "4301 digits, more than the 4300 this interpreter "
+                          "reads from text\n")
+    code, _, err = run(capsys, "laurent", "--vars", "1", "--op", "add",
+                       "--lhs", f"{nines}99/7*x1", "--rhs", "x1")
+    assert code == 2
+    assert "a number of 4302 digits" in err
+
+
 def test_composite_prime_rejected(capsys):
     code, _, err = run(capsys, "split", "--vars", "1", "--prime", "4",
                        "--num", "x1^4")

@@ -1,6 +1,7 @@
 """Quiver mutation, acyclicity, serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -119,6 +120,113 @@ def test_mutation_preserves_skew_symmetry(b, k):
         return
     m = q.mutate(k).b
     assert all(m[i][j] == -m[j][i] for i in range(4) for j in range(4))
+
+
+def _sgn(x):
+    return (x > 0) - (x < 0)
+
+
+def mutate_entrywise(b, k):
+    """Quiver mutation entry by entry, b'_ij = -b_ij in row and column k
+    and b_ij + sgn(b_ik) max(b_ik b_kj, 0) elsewhere: the reference for
+    `Quiver.mutate`, which rebuilds only the rows that change."""
+    n = len(b)
+    return tuple(tuple(-b[i][j] if k in (i, j)
+                       else b[i][j] + _sgn(b[i][k]) * max(b[i][k] * b[k][j], 0)
+                       for j in range(n)) for i in range(n))
+
+
+def construct_entrywise(n, b, frozen):
+    """The construction checks one entry at a time, in row order: the
+    reference for `Quiver.__post_init__`, which checks a row at a time.
+    Returns the stored (b, frozen), or raises what construction raises."""
+    if n < 1:
+        raise ValueError("a quiver needs at least one vertex")
+    b = tuple(tuple(row) for row in b)
+    if len(b) != n or any(len(row) != n for row in b):
+        raise ValueError(f"exchange matrix must be {n}x{n}")
+    for i in range(n):
+        for j in range(n):
+            if not isinstance(b[i][j], int):
+                raise TypeError("exchange matrix entries must be ints")
+            if b[i][j] != -b[j][i]:
+                raise ValueError(f"matrix not skew-symmetric at ({i},{j})")
+    frozen = frozenset(frozen)
+    if not all(isinstance(v, int) and 0 <= v < n for v in frozen):
+        raise ValueError("frozen set contains an out-of-range vertex")
+    for i in range(n):
+        if all(b[i][j] == 0 for j in range(n)):
+            frozen = frozen | {i}
+    return b, frozen
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the outcome compared is the exception
+        return type(exc), str(exc)
+
+
+@st.composite
+def skew_with_frozen(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    b = draw(skew(n))
+    frozen = draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
+    return n, b, frozen
+
+
+@given(skew_with_frozen())
+def test_mutate_matches_entrywise_formula(case):
+    n, b, frozen = case
+    q = Quiver(n, b, frozen)
+    for k in q.mutable:
+        m = q.mutate(k)
+        assert m.b == mutate_entrywise(q.b, k)
+        assert (m.b, m.frozen) == construct_entrywise(n, m.b, q.frozen)
+
+
+BAD_ENTRIES = (1.0, 0.5, -1.0, "1", None, Fraction(1, 2), Fraction(2, 1),
+               True, False)
+
+
+@given(skew_with_frozen(), st.data())
+def test_construction_matches_entrywise_checks(case, data):
+    # the same stored matrix and frozen set, or the same exception type
+    # and text, for matrices with one fault or several: non-int entries,
+    # broken skew-symmetry, wrong shapes and out-of-range frozen vertices
+    n, b, frozen = case
+    rows = [list(r) for r in b]
+    frozen = set(frozen)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        fault = data.draw(st.sampled_from(
+            ("entry", "skew", "short row", "long row", "rows", "frozen")))
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1)) \
+            if rows else None
+        if fault == "entry" and rows and rows[i]:
+            j = data.draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))
+            rows[i][j] = data.draw(st.sampled_from(BAD_ENTRIES))
+        elif fault == "skew" and rows and rows[i]:
+            j = data.draw(st.integers(min_value=0, max_value=len(rows[i]) - 1))
+            rows[i][j] = data.draw(st.integers(min_value=-3, max_value=3))
+        elif fault == "short row" and rows and rows[i]:
+            rows[i].pop()
+        elif fault == "long row" and rows:
+            rows[i].append(0)
+        elif fault == "rows":
+            if rows and data.draw(st.booleans()):
+                rows.pop()
+            else:
+                rows.append([0] * n)
+        elif fault == "frozen":
+            frozen.add(data.draw(st.sampled_from((-1, n, n + 3, 1.5))))
+    matrix = tuple(tuple(r) for r in rows)
+
+    def built():
+        q = Quiver(n, matrix, frozenset(frozen))
+        return q.b, q.frozen
+
+    assert outcome(built) == outcome(
+        lambda: construct_entrywise(n, matrix, frozen))
 
 
 # -- acyclicity and sinks ------------------------------------------------------

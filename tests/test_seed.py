@@ -270,7 +270,7 @@ def test_finite_type_exchange_graphs_close_with_exact_counts():
         dvectors = sorted(tuple(-x for x in v.support_box()[0])
                           for v in result.variables if v not in seed.vars)
         assert dvectors == sorted(positive_roots(kind, n)), (kind, n)
-    assert time.perf_counter() - started < 8.0
+    assert time.perf_counter() - started < 4.0
 
 
 def assert_positive_int_coefficients(variables):
@@ -316,20 +316,132 @@ def test_explore_nine_vertex_path():
     assert not result.closed
 
 
+def count_divisions(monkeypatch):
+    """Patch `exact_divide` to record its divisors; returns the record."""
+    divisions = []
+    divide = LaurentPoly.exact_divide
+
+    def counted(self, divisor):
+        divisions.append(divisor)
+        return divide(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "exact_divide", counted)
+    return divisions
+
+
 def test_explore_never_mutates_back_along_its_edge(monkeypatch):
-    # A4 closes at 42 seeds: the start is mutated at its 4 vertices and
-    # every other seed at the 3 that do not lead back to its parent
-    calls = []
+    # A4 closes at 42 seeds of 4 edges each, so its exchange graph has
+    # 42 * 4 / 2 = 84 edges, each mutated from one end only; the division
+    # runs once for each of the 10 variables the start does not hold, and
+    # every other edge is proved by a product
     mutate = Seed.mutate
+    a4 = initial_seed(dynkin("A", 4), QQ)
+    for start in (a4, a4.mutate_path((1, 2, 0))):
+        calls = []
 
-    def counted(self, k):
-        calls.append(k)
-        return mutate(self, k)
+        def counted(self, k, **kwargs):
+            calls.append(k)
+            return mutate(self, k, **kwargs)
 
-    monkeypatch.setattr(Seed, "mutate", counted)
-    result = explore(initial_seed(dynkin("A", 4), QQ), 100)
-    assert (result.seed_count, result.closed) == (42, True)
-    assert len(calls) == 42 * 4 - 41
+        monkeypatch.setattr(Seed, "mutate", counted)
+        divisions = count_divisions(monkeypatch)
+        result = explore(start, 100)
+        monkeypatch.undo()
+        assert (result.seed_count, result.closed) == (42, True)
+        assert len(calls) == 84
+        assert len(divisions) == 10
+
+
+def explore_by_division(seed, depth):
+    """`explore` by one division per mutation: every seed but the start
+    is mutated at each mutable vertex except the one it was reached by.
+    The reference for `explore`, which crosses each edge once and proves
+    a known quotient by a product."""
+    seen = {seed.key()}
+    order, frontier, variables = [seed], [seed], set(seed.vars)
+    closed = False
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            for k in s.quiver.mutable:
+                if s is not seed and k == s.path[-1]:
+                    continue
+                t = s.mutate(k)
+                if t.key() not in seen:
+                    seen.add(t.key())
+                    order.append(t)
+                    nxt.append(t)
+                    variables.update(t.vars)
+        if not nxt:
+            closed = True
+            break
+        frontier = nxt
+    else:
+        closed = depth == 0 and not seed.quiver.mutable
+    return order, sorted(variables, key=lambda v: v.sort_key()), closed
+
+
+def walk_record(seeds, variables, closed):
+    return (len(seeds), len(variables), closed,
+            [v.render() for v in variables],
+            [(s.path, s.quiver.b, s.quiver.frozen,
+              [v.render() for v in s.vars]) for s in seeds])
+
+
+TWIN_CASES = {
+    **{f"{kind}{n}": (lambda kind=kind, n=n:
+                      initial_seed(dynkin(kind, n), QQ), 100)
+       for kind, n in (("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+                       ("D", 4), ("D", 5), ("E", 6))},
+    "markov-depth3": (lambda: seed_for("markov"), 3),
+    "markov-depth4": (lambda: seed_for("markov"), 4),
+    "markov-mutated-depth3": (lambda: seed_for("markov").mutate(1), 3),
+    "a3-mutated-GF3": (lambda: seed_for("a3", GF(3)).mutate(1), 9),
+    "D5-mutated": (lambda: initial_seed(dynkin("D", 5), QQ).mutate_path(
+        (2, 0, 3)), 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWIN_CASES))
+def test_explore_matches_its_division_twin(case, monkeypatch):
+    # the same walk, and one division for each variable the start does
+    # not hold: every later edge to a known variable is proved by the
+    # product, which needs that variable in its own box of the index
+    make, depth = TWIN_CASES[case]
+    start = make()
+    divisions = count_divisions(monkeypatch)
+    r = explore(start, depth)
+    monkeypatch.undo()
+    assert len(divisions) == r.variable_count - start.n
+    assert walk_record(r.seeds, r.variables, r.closed) == \
+        walk_record(*explore_by_division(start, depth))
+
+
+def test_mutate_proves_a_known_quotient_by_its_product(monkeypatch):
+    s = seed_for("a2")
+    quotient = lp(QQ, 2, [((-1, 1), 1), ((-1, 0), 1)])  # (x2 + 1) / x1
+    box = quotient.support_box()
+    decoy = lp(QQ, 2, [((-1, 1), 2), ((-1, 0), 1)])
+    assert decoy.support_box() == box
+    # a candidate of the right box that fails the product is not taken:
+    # the quotient comes from the division and joins the index
+    known = {box: [decoy]}
+    assert s.mutate(0, known=known).vars[0] == quotient
+    assert known[box] == [decoy, quotient]
+    # a known quotient is taken, with no division
+    divisions = count_divisions(monkeypatch)
+    known = {box: [decoy, quotient]}
+    assert s.mutate(0, known=known).vars[0] is quotient
+    assert divisions == []
+    assert known == {box: [decoy, quotient]}
+
+
+def test_explore_rejects_a_zero_exchange_polynomial():
+    # given vars x1, x2, x1 on 1 -> 2 -> 3 over GF(2): at vertex 2,
+    # p_plus + p_minus = x1 + x1 = 0, and the quotient 0 is no variable
+    x1, x2 = (LaurentPoly.variable(GF(2), 3, i) for i in range(2))
+    with pytest.raises(ValueError, match="cluster variables are nonzero"):
+        explore(Seed(corpus.load("a3"), (x1, x2, x1)), 3)
 
 
 def test_explore_from_a_mutated_start_mutates_at_its_last_vertex():
