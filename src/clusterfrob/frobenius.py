@@ -158,8 +158,8 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
     without z_k: it passes through the division by b, the re-reading and
     the final division, and the expected value scales by it too.  So
     alpha has the verdict of its representative rho + alpha_k * e_k, and
-    the check decides each class (alpha_k, rho) once, on that
-    representative.  The vectors of a failing class are checked one by
+    the check decides each class once, on that representative, which is
+    also its cache key.  The vectors of a failing class are checked one by
     one, so the failures and their texts are those of a per-vector check.
     A vector of the wrong length, or with an entry that is not an int,
     raises ValueError before any of its work; a bool counts as 0 or 1.
@@ -175,7 +175,7 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
     (_, numer), = steps
     xk_new = RationalExpr(numer * LaurentPoly.variable(fld, n, k).inverse())
     powers: dict[int, tuple] = {}
-    classes: dict[tuple[int, int], bool] = {}
+    classes: dict[tuple[int, ...], bool] = {}
 
     def failure(alpha):
         """None when alpha's image is x'^(alpha/p) or 0 as it should be,
@@ -215,13 +215,11 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
                 raise ValueError(f"alpha {alpha} has entry {a!r}, not an int")
         checked += 1
         rep = [a % p for a in alpha]
-        key = 0
-        for r in rep:
-            key = key * p + r
-        passed = classes.get((alpha[k], key))
+        rep[k] = alpha[k]
+        rep = tuple(rep)
+        passed = classes.get(rep)
         if passed is None:
-            rep[k] = alpha[k]
-            passed = classes[alpha[k], key] = failure(tuple(rep)) is None
+            passed = classes[rep] = failure(rep) is None
         if passed:
             continue
         text = failure(alpha)

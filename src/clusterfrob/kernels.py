@@ -24,10 +24,10 @@ takes the same path.
 Only the kernels charge the raw allowance, and each call is charged its
 whole pairwise work once, by `_charge`, before it forms any pair:
 len(a) * len(b) for a product, len(b) for a cancellation step, and the
-pairs in the kept residue class for the fused split.  Every kernel
-writes the allowance back once its output is formed (a product's terms,
-a cancellation step's row), so a call stopped by max_terms is charged
-the whole work.
+pairs in the kept residue class for the fused split.  The charge is
+written to the allowance at once, so a call stopped by max_terms is
+charged the whole work, and a call the allowance cannot cover drains it
+and forms nothing.
 
 Large products and exact division run on packed keys.  Support extremes
 add under multiplication, so the box of every exponent a call can form is
@@ -130,17 +130,15 @@ def neg_terms(a, p):
 
 
 def _charge(raw, work):
-    """What the allowance `raw` (a one-element list) has left after a
-    kernel call's whole pairwise work.  The caller writes it back once
-    its output is formed; a call the allowance cannot cover drains it and
-    raises before forming any pair."""
-    remaining = raw[0] - work
-    if remaining < 0:
+    """Charge a kernel call's whole pairwise work to the allowance `raw`
+    (a one-element list).  Work the allowance cannot cover drains it to 0
+    and raises, before the call forms any pair."""
+    if work > raw[0]:
         raw[0] = 0
         raise BudgetExceededError(
             "max_raw_products", "kernel work exhausted the raw "
             "term-product allowance")
-    return remaining
+    raw[0] -= work
 
 
 def mul_terms(a, b, p, max_terms, raw):
@@ -153,11 +151,10 @@ def mul_terms(a, b, p, max_terms, raw):
         return {}
     if len(a) > len(b):
         a, b = b, a
-    remaining = _charge(raw, len(a) * len(b))
+    _charge(raw, len(a) * len(b))
     if len(a) == 1:
         (ea, ca), = a.items()
         out = scale_shift_terms(b, ea, ca, p)
-        raw[0] = remaining
         if len(out) > max_terms:
             raise BudgetExceededError(
                 "max_terms", f"product exceeded {max_terms} terms")
@@ -185,10 +182,8 @@ def mul_terms(a, b, p, max_terms, raw):
                 elif old is not None:
                     del out[k]
             if len(out) > max_terms:
-                raw[0] = remaining
                 raise BudgetExceededError(
                     "max_terms", f"product exceeded {max_terms} terms")
-        raw[0] = remaining
         return dict(zip(unpack(out, lo, radix), out.values()))
     out = {}
     get = out.get
@@ -207,10 +202,8 @@ def mul_terms(a, b, p, max_terms, raw):
             elif old is not None:
                 del out[e]
         if len(out) > max_terms:
-            raw[0] = remaining
             raise BudgetExceededError(
                 "max_terms", f"product exceeded {max_terms} terms")
-    raw[0] = remaining
     return out
 
 
@@ -255,7 +248,7 @@ def mul_split_terms(a, b, groups, p, q, r, max_terms, raw):
         if group is not None:
             rows.append((ea, ca, group))
             work += len(group)
-    remaining = _charge(raw, work)
+    _charge(raw, work)
     out = {}
     get = out.get
     for ea, ca, group in rows:
@@ -267,10 +260,8 @@ def mul_split_terms(a, b, groups, p, q, r, max_terms, raw):
             elif e in out:
                 del out[e]
         if len(out) > max_terms:
-            raw[0] = remaining
             raise BudgetExceededError(
                 "max_terms", f"product exceeded {max_terms} terms")
-    raw[0] = remaining
     return out
 
 
@@ -291,7 +282,7 @@ def submul_terms(rem, k0, c0, b, p, raw):
     key offset of the row, so that the row's key of a term of b is k0
     plus its key.  Returns the keys the row created.  Charged len(b) raw
     products, like a product with one-term factor."""
-    remaining = _charge(raw, len(b))
+    _charge(raw, len(b))
     created = []
     get = rem.get
     neg = -c0
@@ -309,7 +300,6 @@ def submul_terms(rem, k0, c0, b, p, raw):
                 created.append(k)
         elif old is not None:
             del rem[k]
-    raw[0] = remaining
     return created
 
 

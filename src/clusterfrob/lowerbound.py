@@ -14,11 +14,12 @@ congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 
 psi never forms the whole product f^(p-1) * r: the fused
 `LaurentPoly.mul_split` pairs each term of r only with the terms of
-f^(p-1) that complete it to the kept residue class.  f^(p-1) itself is
-built once per presentation by plain products, and grouped by exponent
-residue mod p once, on its first psi call.  Both run in one
-`budgets.raw_meter()` block, so they share one max_raw_products
-allowance, and inside an enclosing meter they draw on what it has left.
+f^(p-1) that complete it to the kept residue class.  A presentation has
+one field, so one p: f^(p-1) is built by plain products and grouped by
+exponent residue mod p once, on its first psi call, and kept only when
+both are complete.  They run in psi's `budgets.raw_meter()` block, so
+they share one max_raw_products allowance with the product, and inside
+an enclosing meter they draw on what it has left.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class LowerBoundPresentation:
     xprime: tuple[LaurentPoly, ...]         # first mutations, in n variables
 
     def __post_init__(self):
-        self._fpow: dict[int, LaurentPoly] = {}
-        self._fgroups: dict[int, dict] = {}   # f^(p-1) grouped mod p
+        # (f^(p-1), its residue groups mod p), built by the first psi call
+        self._fsplit: tuple[LaurentPoly, dict] | None = None
 
     @property
     def n(self) -> int:
@@ -87,20 +88,6 @@ def lower_bound_generators(seed: Seed) -> LowerBoundPresentation:
     return LowerBoundPresentation(seed, tuple(gens), f, tuple(xprime))
 
 
-def _f_power(pres: LowerBoundPresentation, exponent: int) -> LaurentPoly:
-    """f^exponent for exponent >= 1, factor by factor, cached on the
-    presentation."""
-    cached = pres._fpow.get(exponent)
-    if cached is not None:
-        return cached
-    out = pres.f
-    for _ in range(exponent - 1):
-        for g in pres.gens:
-            out = out * g
-    pres._fpow[exponent] = out
-    return out
-
-
 def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
                 p: int) -> LaurentPoly:
     """psi(r) = basis-split of (f^(p-1) * r)^(1/p).
@@ -117,10 +104,13 @@ def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
         raise ValueError("psi arguments live in the polynomial ring; "
                          "negative exponents are not allowed")
     with budgets.raw_meter():
-        fpow = _f_power(pres, p - 1)
-        groups = pres._fgroups.get(p)
-        if groups is None:
-            groups = pres._fgroups[p] = fpow.residue_groups(p)
+        if pres._fsplit is None:
+            fpow = pres.f
+            for _ in range(p - 2):
+                for g in pres.gens:
+                    fpow = fpow * g
+            pres._fsplit = fpow, fpow.residue_groups(p)
+        fpow, groups = pres._fsplit
         return fpow.mul_split(r, p, p - 1, groups)
 
 
@@ -177,7 +167,7 @@ def degree_bounded_monomials(nvars: int, max_degree: int):
             rec(prefix + [d], remaining - d, slots - 1)
 
     rec([], max_degree, nvars)
-    return sorted(out)
+    return out
 
 
 def localization_identity_check(pres: LowerBoundPresentation) -> bool:

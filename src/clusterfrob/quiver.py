@@ -4,9 +4,13 @@ Vertices are 0-based internally; the JSON file format is 1-based.  A quiver
 with B[i][j] = m > 0 has m arrows i -> j.  Loops never exist (B[i][i] = 0)
 and 2-cycles cancel by skew-symmetry.  An isolated vertex carries no
 mutation data, so construction adds every isolated vertex to the frozen set
-(the convention is therefore re-imposed by every operation that rebuilds a
-quiver, freeze included; mutation never isolates a vertex, so the frozen
-set really is unchanged under mutate).
+(construction imposes the convention, `freeze` included, and mutation
+preserves it: mutation never isolates a vertex, so the frozen set really
+is unchanged under mutate).
+
+Public construction (files, the corpus, `freeze`, callers) validates
+every entry.  Mutation does not: it keeps a valid quiver valid, so it
+builds its result unchecked.
 """
 
 from __future__ import annotations
@@ -19,16 +23,6 @@ from .errors import (MutationAtFrozenError, NoMutableVertexError,
                      QuiverFormatError)
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _check_row(b: Matrix, i: int) -> None:
-    """Row i's entries checked one by one, raising at the first that is
-    not an int or breaks skew-symmetry."""
-    for j in range(len(b)):
-        if not isinstance(b[i][j], int):
-            raise TypeError("exchange matrix entries must be ints")
-        if b[i][j] != -b[j][i]:
-            raise ValueError(f"matrix not skew-symmetric at ({i},{j})")
 
 
 @dataclass(frozen=True)
@@ -44,11 +38,11 @@ class Quiver:
         if len(b) != self.n or any(len(row) != self.n for row in b):
             raise ValueError(f"exchange matrix must be {self.n}x{self.n}")
         for i, row in enumerate(b):
-            col = [r[i] for r in b]
-            if not (all(isinstance(x, int) for x in row)
-                    and all(isinstance(x, int) for x in col)
-                    and row == tuple(-x for x in col)):
-                _check_row(b, i)
+            for j, x in enumerate(row):
+                if not isinstance(x, int):
+                    raise TypeError("exchange matrix entries must be ints")
+                if x != -b[j][i]:
+                    raise ValueError(f"matrix not skew-symmetric at ({i},{j})")
         frozen = frozenset(self.frozen)
         if not all(isinstance(v, int) and 0 <= v < self.n for v in frozen):
             raise ValueError("frozen set contains an out-of-range vertex")
@@ -58,6 +52,18 @@ class Quiver:
                 frozen = frozen | {i}
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "frozen", frozen)
+
+    @classmethod
+    def _unchecked(cls, n: int, b: Matrix, frozen: frozenset[int]
+                   ) -> "Quiver":
+        """A quiver from fields already valid: b a skew-symmetric tuple of
+        int tuples, frozen a frozenset holding every isolated vertex.  No
+        check runs."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "n", n)
+        object.__setattr__(q, "b", b)
+        object.__setattr__(q, "frozen", frozen)
+        return q
 
     # -- basic views ---------------------------------------------------------
 
@@ -89,7 +95,13 @@ class Quiver:
 
     def mutate(self, k: int) -> "Quiver":
         """Quiver mutation at a mutable vertex k.  Only row k and the rows
-        i with b_ik != 0 change; every other row is kept as it is."""
+        i with b_ik != 0 change; every other row is kept as it is.
+
+        The result is built unchecked, for mutation keeps every property
+        construction checks: the new b is a skew-symmetric tuple of int
+        tuples, and since row and column k only change sign and every
+        other row without b_ik is kept, no vertex becomes or stops being
+        isolated, so the frozen set is unchanged."""
         if not 0 <= k < self.n:
             raise IndexError(f"vertex {k} out of range")
         if k in self.frozen:
@@ -108,7 +120,7 @@ class Quiver:
                 new[k] = -bik
                 row = tuple(new)
             rows.append(row)
-        return Quiver(self.n, tuple(rows), self.frozen)
+        return Quiver._unchecked(self.n, tuple(rows), self.frozen)
 
     # -- structure tests --------------------------------------------------------
 

@@ -49,6 +49,17 @@ class Seed:
             if v.is_zero():
                 raise ValueError("cluster variables are nonzero")
 
+    @classmethod
+    def _unchecked(cls, quiver: Quiver, vars_: tuple[LaurentPoly, ...],
+                   path: tuple[int, ...]) -> "Seed":
+        """A seed from fields already valid: one nonzero variable per
+        vertex, all in one Laurent ring over one field.  No check runs."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "quiver", quiver)
+        object.__setattr__(s, "vars", vars_)
+        object.__setattr__(s, "path", path)
+        return s
+
     @property
     def field(self):
         return self.vars[0].field
@@ -91,12 +102,21 @@ class Seed:
         that of x_k; a variable y in that box with x_k * y equal to
         p_plus + p_minus is the quotient, since the Laurent ring is a
         domain.  Only when no such y exists is the quotient found by
-        division, and it then joins the index."""
+        division, and it then joins the index.
+
+        The result is built unchecked.  The new variable is a product or
+        quotient of variables of this seed, so it keeps their field and
+        ring, and the count of variables is kept.  It is nonzero when
+        p_plus + p_minus is, which a cluster of the quiver always gives
+        but given `vars` need not: that one property is checked here,
+        before any division."""
         plus, minus = self.exchange_monomials(k)
         exchange = plus + minus
+        if exchange.is_zero():
+            raise ValueError("cluster variables are nonzero")
         x = self.vars[k]
         new_var = bucket = None
-        if known is not None and not exchange.is_zero():
+        if known is not None:
             (lo_p, hi_p), (lo_x, hi_x) = exchange.support_box(), x.support_box()
             bucket = known.setdefault((tuple(map(sub, lo_p, lo_x)),
                                        tuple(map(sub, hi_p, hi_x))), [])
@@ -115,7 +135,8 @@ class Seed:
                 bucket.append(new_var)
         new_vars = list(self.vars)
         new_vars[k] = new_var
-        return Seed(self.quiver.mutate(k), tuple(new_vars), self.path + (k,))
+        return Seed._unchecked(self.quiver.mutate(k), tuple(new_vars),
+                               self.path + (k,))
 
     def mutate_path(self, path) -> "Seed":
         s = self

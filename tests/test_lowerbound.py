@@ -235,6 +235,10 @@ def test_degree_bounded_monomials():
     out = degree_bounded_monomials(2, 2)
     assert out == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
     assert len(degree_bounded_monomials(4, 2)) == 15
+    for nvars in range(1, 7):
+        for degree in range(5):
+            out = degree_bounded_monomials(nvars, degree)
+            assert out == sorted(out)
 
 
 def test_localization_identity():

@@ -138,7 +138,7 @@ def mutate_entrywise(b, k):
 
 def construct_entrywise(n, b, frozen):
     """The construction checks one entry at a time, in row order: the
-    reference for `Quiver.__post_init__`, which checks a row at a time.
+    reference for `Quiver.__post_init__`, which `Quiver.mutate` skips.
     Returns the stored (b, frozen), or raises what construction raises."""
     if n < 1:
         raise ValueError("a quiver needs at least one vertex")

@@ -444,6 +444,55 @@ def test_explore_rejects_a_zero_exchange_polynomial():
         explore(Seed(corpus.load("a3"), (x1, x2, x1)), 3)
 
 
+@pytest.mark.parametrize("field,via", [
+    (GF(2), "mutate"), (QQ, "explore"), (QQ, "mutate")])
+def test_mutate_rejects_a_zero_exchange_polynomial(field, via):
+    # over GF(2) vars x1, x2, x1 and over QQ vars x1, x2, -x1 on
+    # 1 -> 2 -> 3: at vertex 2, p_plus + p_minus = x1 - x1 = 0
+    x1, x2 = (LaurentPoly.variable(field, 3, i) for i in range(2))
+    s = Seed(corpus.load("a3"), (x1, x2, -x1))
+    with pytest.raises(ValueError, match="cluster variables are nonzero"):
+        if via == "mutate":
+            s.mutate(1)
+        else:
+            explore(s, 3)
+
+
+def assert_validated_twin(seed, start):
+    """The seed equals its validated construction, with the stored types
+    construction gives, and the frozen set of the seed it came from:
+    mutation builds its quiver and seed unchecked."""
+    q = seed.quiver
+    assert type(q.b) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row)
+               for row in q.b)
+    assert type(q.frozen) is frozenset and q.frozen == start.quiver.frozen
+    assert seed == Seed(Quiver(seed.n, q.b, q.frozen), seed.vars, seed.path)
+
+
+TRUSTED_CASES = [
+    *((initial_seed(dynkin(kind, n), QQ), 100)
+      for kind, n in (("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
+                      ("D", 4), ("D", 5), ("E", 6))),
+    (seed_for("markov"), 3),
+    *((seed_for(name, fld), 3) for name in corpus.names()
+      for fld in (QQ, GF(3))),
+]
+
+
+def test_mutation_equals_its_validated_construction():
+    for start, depth in TRUSTED_CASES:
+        for s in explore(start, depth).seeds:
+            assert_validated_twin(s, start)
+    rng = random.Random(20261020)
+    for name in corpus.names():
+        for fld in (QQ, GF(3)):
+            start = seed_for(name, fld)
+            mutable = start.quiver.mutable
+            path = [rng.choice(mutable) for _ in range(3)]
+            assert_validated_twin(start.mutate_path(path), start)
+
+
 def test_explore_from_a_mutated_start_mutates_at_its_last_vertex():
     # the start's own last mutation leads to a seed the walk has not seen
     start = seed_for("a3").mutate(1)
