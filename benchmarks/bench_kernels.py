@@ -1,4 +1,4 @@
-"""Time the arithmetic kernels and ten library workloads.
+"""Time the arithmetic kernels and eleven library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
@@ -228,6 +228,18 @@ MACRO_SNIPPETS = {
         "r = explore(initial_seed(q, QQ), 100)\n"
         "assert r.closed\n"
         "assert (r.seed_count, r.variable_count) == (4160, 70)\n"),
+    "explore E8 to closure": (
+        "from clusterfrob import Quiver\n"
+        "from clusterfrob.fields import QQ\n"
+        "from clusterfrob.seed import explore, initial_seed\n"
+        "b = [[0] * 8 for _ in range(8)]\n"
+        "for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), "
+        "(2, 7)):\n"
+        "    b[i][j], b[j][i] = 1, -1\n"
+        "q = Quiver(8, tuple(map(tuple, b)), frozenset())\n"
+        "r = explore(initial_seed(q, QQ), 100)\n"
+        "assert r.closed\n"
+        "assert (r.seed_count, r.variable_count) == (25080, 128)\n"),
     "compat a3 p=5 degree 2": (
         "from clusterfrob import corpus\n"
         "from clusterfrob.fields import GF\n"

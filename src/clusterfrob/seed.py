@@ -6,8 +6,10 @@ initial cluster, so mutation itself witnesses the Laurent phenomenon: the
 new variable is the exact quotient (p_plus + p_minus) / x_k, and from a
 quiver's initial seed a failure is a bug (LaurentViolationError).  A seed
 built from given `vars` can fail it when they are not a cluster of the
-quiver.  `explore` proves each variable Laurent by division when it first
-finds it, and each later edge that yields it by one product.
+quiver.  `explore` proves each exchange relation x_k * y = p_plus + p_minus
+once, keyed by interned variable ids: a new variable by division, a known
+one by one product, and an edge whose relation is known costs no
+arithmetic.
 
 A change of cluster is a sequence of one-variable substitutions
 z_k -> N_k / z_k, one per mutation along the path (`cluster_substitution`
@@ -48,6 +50,11 @@ class Seed:
                 raise ValueError("variable lives in the wrong Laurent ring")
             if v.is_zero():
                 raise ValueError("cluster variables are nonzero")
+        path = tuple(self.path)
+        if not all(isinstance(k, int) and 0 <= k < self.quiver.n
+                   for k in path):
+            raise ValueError("a path entry is not a vertex of the quiver")
+        object.__setattr__(self, "path", path)
 
     @classmethod
     def _unchecked(cls, quiver: Quiver, vars_: tuple[LaurentPoly, ...],
@@ -151,13 +158,19 @@ class Seed:
         The cluster fixes which variable sits on which vertex, so reading
         the quiver in the cluster's own order makes relabeled copies of a
         seed agree without searching over relabelings.  Distinct vertices
-        of a seed never carry the same variable, so the order is total."""
-        sort_keys = [v.sort_key() for v in self.vars]
-        order = sorted(range(self.n), key=sort_keys.__getitem__)
-        b, frozen = self.quiver.b, self.quiver.frozen
-        return (tuple(sort_keys[i] for i in order),
-                tuple(b[i][j] for i in order for j in order),
-                tuple(i in frozen for i in order))
+        of a cluster never carry the same variable; a variable repeated
+        among given vars ties, and the tie falls to the vertex order."""
+        return _ordered_key(self.quiver, [v.sort_key() for v in self.vars])
+
+
+def _ordered_key(quiver: Quiver, labels) -> tuple:
+    """The labels of the vertices sorted, with the exchange matrix
+    (flattened) and the frozen mask read in that vertex order."""
+    order = sorted(range(quiver.n), key=labels.__getitem__)
+    b, frozen = quiver.b, quiver.frozen
+    return (tuple(labels[i] for i in order),
+            tuple(b[i][j] for i in order for j in order),
+            tuple(i in frozen for i in order))
 
 
 def initial_seed(quiver: Quiver, coefficient_field) -> Seed:
@@ -187,49 +200,88 @@ class ExploreResult:
 
 def explore(seed: Seed, depth: int) -> ExploreResult:
     """Breadth-first closure of mutations at all mutable vertices, up to
-    `depth` steps, deduplicating seeds by `Seed.key` (the cluster, with
-    the quiver read in the cluster's order).  `closed` reports whether the
-    frontier emptied within the bound, i.e. the whole exchange graph was
-    seen.
+    `depth` steps, deduplicating seeds by their clusters with the quiver
+    read in the cluster's order.  `closed` reports whether the frontier
+    emptied within the bound, i.e. the whole exchange graph was seen.
+
+    Each variable gets an int id when the walk first finds it, and the
+    walk keys a seed by its sorted ids with the quiver read in that
+    order.  Ids name variables one to one, as the sort keys of `Seed.key`
+    do, and a tie (a variable repeated among given vars) falls to the
+    vertex order in both, so this key makes the dedup decisions of
+    `Seed.key` without sorting any terms.
 
     Each edge is crossed once.  Mutation is an involution, so when the
     walk reaches t by mutating at k, mutating t's class at the vertex
-    carrying t's k-th variable leads back; that variable is recorded
-    under t's key and the vertex is skipped, in a relabeled copy of t
-    too.  The variables found are indexed by support box, so that a
-    known quotient is proved by one product (`Seed.mutate`)."""
+    carrying t's k-th variable leads back; that variable's id is recorded
+    under t's key and the vertex is skipped, in a relabeled copy of t too.
+
+    Each exchange relation is proved once.  The relation at k is filed
+    under the id of x_k and the unordered pair {A, B} of the exchange
+    monomials as sorted (id, multiplicity) multisets.  The same x_k, A
+    and B give the same p_plus + p_minus, hence, the Laurent ring being a
+    domain, the same quotient y, so an edge whose relation is filed takes
+    y with no arithmetic.  An edge with a new relation runs `Seed.mutate`
+    against an index of the variables by support box, which proves a
+    known quotient by one product and divides only for a new one; the
+    relation is then filed both ways, x_k -> y and y -> x_k."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     max_seeds = budgets.current().max_seeds
-    key = seed.key()
-    seen = {key: seed}
-    crossed: dict = {}
+    ids: dict = {}
+    found: list = []  # the variable of each id
     known: dict = {}
     for v in seed.vars:
-        known.setdefault(v.support_box(), []).append(v)
+        if v not in ids:
+            ids[v] = len(found)
+            found.append(v)
+            known.setdefault(v.support_box(), []).append(v)
+    vid = tuple(ids[v] for v in seed.vars)
+    key = _ordered_key(seed.quiver, vid)
+    seen = {key}
+    crossed: dict = {}
+    relations: dict = {}
     order = [seed]
-    variables = set(seed.vars)
-    frontier = [(key, seed)]
+    frontier = [(key, seed, vid)]
     closed = False
     for _ in range(depth):
         nxt = []
-        for key, s in frontier:
+        for key, s, vid in frontier:
             back = crossed.get(key, ())
-            for k in s.quiver.mutable:
-                if s.vars[k] in back:
+            q = s.quiver
+            for k in q.mutable:
+                x = vid[k]
+                if x in back:
                     continue
-                t = s.mutate(k, known=known)
-                tk = t.key()
-                crossed.setdefault(tk, set()).add(t.vars[k])
+                plus, minus = q.exchange_exponents(k)
+                a, b = _id_monomial(vid, plus), _id_monomial(vid, minus)
+                pair = (a, b) if a <= b else (b, a)
+                y = relations.get((x, pair))
+                if y is None:
+                    t = s.mutate(k, known=known)
+                    new_var = t.vars[k]
+                    y = ids.get(new_var)
+                    if y is None:
+                        y = ids[new_var] = len(found)
+                        found.append(new_var)
+                    relations[x, pair] = y
+                    relations[y, pair] = x
+                else:
+                    new_vars = list(s.vars)
+                    new_vars[k] = found[y]
+                    t = Seed._unchecked(q.mutate(k), tuple(new_vars),
+                                        s.path + (k,))
+                tid = vid[:k] + (y,) + vid[k + 1:]
+                tk = _ordered_key(t.quiver, tid)
+                crossed.setdefault(tk, set()).add(y)
                 if tk in seen:
                     continue
                 if len(seen) >= max_seeds:
                     raise BudgetExceededError(
                         "max_seeds", f"exploration passed {max_seeds} seeds")
-                seen[tk] = t
+                seen.add(tk)
                 order.append(t)
-                nxt.append((tk, t))
-                variables.update(t.vars)
+                nxt.append((tk, t, tid))
         if not nxt:
             closed = True
             break
@@ -238,8 +290,14 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
         # depth exhausted; the graph is closed only if the last frontier
         # has nothing new to offer, which we have not checked -> not closed
         closed = depth == 0 and not seed.quiver.mutable
-    variables_sorted = tuple(sorted(variables, key=lambda v: v.sort_key()))
+    variables_sorted = tuple(sorted(found, key=lambda v: v.sort_key()))
     return ExploreResult(tuple(order), variables_sorted, closed, depth)
+
+
+def _id_monomial(vid: tuple[int, ...], exps) -> tuple:
+    """The monomial prod vars[j]^exps[j] as its sorted (id, multiplicity)
+    pairs."""
+    return tuple(sorted((vid[j], m) for j, m in enumerate(exps) if m))
 
 
 # -- change of cluster --------------------------------------------------------------

@@ -113,6 +113,17 @@ def test_seed_rejects_zero_variable():
         Seed(q, (LaurentPoly.zero(QQ, 2), LaurentPoly.one(QQ, 2)))
 
 
+def test_seed_stores_its_path_as_a_tuple_of_vertices():
+    q = corpus.load("a3")
+    vars_ = initial_seed(q, QQ).vars
+    s = Seed(q, vars_, [0])
+    assert s.path == (0,)
+    assert s.mutate(1).path == (0, 1)
+    for bad in ([3], [-1], [0.0], ["0"], [0, None]):
+        with pytest.raises(ValueError, match="not a vertex"):
+            Seed(q, vars_, bad)
+
+
 # -- single mutations ---------------------------------------------------------
 
 
@@ -231,6 +242,7 @@ FINITE_TYPE_COUNTS = {
     **{("D", n): ((3 * n - 2) * comb(2 * n - 2, n - 1) // n, n * n)
        for n in (4, 5)},
     ("E", 6): (833, 42),
+    ("E", 7): (4160, 70),
 }
 
 
@@ -316,40 +328,50 @@ def test_explore_nine_vertex_path():
     assert not result.closed
 
 
-def count_divisions(monkeypatch):
-    """Patch `exact_divide` to record its divisors; returns the record."""
-    divisions = []
-    divide = LaurentPoly.exact_divide
+def count_calls(monkeypatch, cls, name):
+    """Patch method `name` of `cls` to record its calls; returns the
+    record."""
+    calls = []
+    method = getattr(cls, name)
 
-    def counted(self, divisor):
-        divisions.append(divisor)
-        return divide(self, divisor)
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(LaurentPoly, "exact_divide", counted)
-    return divisions
+    monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
-def test_explore_never_mutates_back_along_its_edge(monkeypatch):
-    # A4 closes at 42 seeds of 4 edges each, so its exchange graph has
-    # 42 * 4 / 2 = 84 edges, each mutated from one end only; the division
-    # runs once for each of the 10 variables the start does not hold, and
-    # every other edge is proved by a product
-    mutate = Seed.mutate
-    a4 = initial_seed(dynkin("A", 4), QQ)
-    for start in (a4, a4.mutate_path((1, 2, 0))):
-        calls = []
+EXPLORE_COUNTS = {
+    # (seeds, edges, proofs, divisions) to closure.  Each edge is
+    # crossed once, from one end: a seed has one edge per mutable vertex,
+    # so there are seeds * n / 2 edges, each one `Quiver.mutate`.  Each
+    # exchange relation x * y = P is proved once, by one `Seed.mutate`,
+    # and every other edge with the same relation reuses it; the division
+    # runs once for each variable the start does not hold, and every
+    # other proof is one product.
+    "A4": (lambda: initial_seed(dynkin("A", 4), QQ), 42, 84, 35, 10),
+    "A4-mutated": (lambda: initial_seed(dynkin("A", 4), QQ).mutate_path(
+        (1, 2, 0)), 42, 84, 35, 10),
+    "D4": (lambda: initial_seed(dynkin("D", 4), QQ), 50, 100, 52, 12),
+    "A5": (lambda: initial_seed(dynkin("A", 5), QQ), 132, 330, 70, 15),
+    "D5": (lambda: initial_seed(dynkin("D", 5), QQ), 182, 455, 130, 20),
+    "E6": (lambda: initial_seed(dynkin("E", 6), QQ), 833, 2499, 385, 36),
+}
 
-        def counted(self, k, **kwargs):
-            calls.append(k)
-            return mutate(self, k, **kwargs)
 
-        monkeypatch.setattr(Seed, "mutate", counted)
-        divisions = count_divisions(monkeypatch)
-        result = explore(start, 100)
-        monkeypatch.undo()
-        assert (result.seed_count, result.closed) == (42, True)
-        assert len(calls) == 84
-        assert len(divisions) == 10
+@pytest.mark.parametrize("case", list(EXPLORE_COUNTS))
+def test_explore_never_mutates_back_along_its_edge(case, monkeypatch):
+    make, seeds, edges, proofs, divisions = EXPLORE_COUNTS[case]
+    start = make()
+    quiver_calls = count_calls(monkeypatch, Quiver, "mutate")
+    seed_calls = count_calls(monkeypatch, Seed, "mutate")
+    divided = count_calls(monkeypatch, LaurentPoly, "exact_divide")
+    result = explore(start, 100)
+    monkeypatch.undo()
+    assert (result.seed_count, result.closed) == (seeds, True)
+    assert (len(quiver_calls), len(seed_calls), len(divided)) == \
+        (edges, proofs, divisions)
 
 
 def explore_by_division(seed, depth):
@@ -388,6 +410,13 @@ def walk_record(seeds, variables, closed):
               [v.render() for v in s.vars]) for s in seeds])
 
 
+def given_seed(name, *monomials):
+    """The seed of corpus quiver `name` whose vars are the given
+    (exponents, coefficient) monomials."""
+    q = corpus.load(name)
+    return Seed(q, tuple(lp(QQ, q.n, [m]) for m in monomials))
+
+
 TWIN_CASES = {
     **{f"{kind}{n}": (lambda kind=kind, n=n:
                       initial_seed(dynkin(kind, n), QQ), 100)
@@ -399,6 +428,15 @@ TWIN_CASES = {
     "a3-mutated-GF3": (lambda: seed_for("a3", GF(3)).mutate(1), 9),
     "D5-mutated": (lambda: initial_seed(dynkin("D", 5), QQ).mutate_path(
         (2, 0, 3)), 100),
+    # given vars that are no cluster: (1 + 2 x1) / x1 and (1 + x1) / (2 x1)
+    # are distinct variables with one support box, and a repeated variable
+    # sits at two vertices
+    "a2-given-x1-2x1": (lambda: given_seed("a2", ((1, 0), 1), ((1, 0), 2)),
+                        6),
+    "a2-given-x1-x1": (lambda: given_seed("a2", ((1, 0), 1), ((1, 0), 1)),
+                       6),
+    "a3-given-x1-x2-x1": (lambda: given_seed(
+        "a3", ((1, 0, 0), 1), ((0, 1, 0), 1), ((1, 0, 0), 1)), 9),
 }
 
 
@@ -409,10 +447,10 @@ def test_explore_matches_its_division_twin(case, monkeypatch):
     # product, which needs that variable in its own box of the index
     make, depth = TWIN_CASES[case]
     start = make()
-    divisions = count_divisions(monkeypatch)
+    divisions = count_calls(monkeypatch, LaurentPoly, "exact_divide")
     r = explore(start, depth)
     monkeypatch.undo()
-    assert len(divisions) == r.variable_count - start.n
+    assert len(divisions) == r.variable_count - len(set(start.vars))
     assert walk_record(r.seeds, r.variables, r.closed) == \
         walk_record(*explore_by_division(start, depth))
 
@@ -429,7 +467,7 @@ def test_mutate_proves_a_known_quotient_by_its_product(monkeypatch):
     assert s.mutate(0, known=known).vars[0] == quotient
     assert known[box] == [decoy, quotient]
     # a known quotient is taken, with no division
-    divisions = count_divisions(monkeypatch)
+    divisions = count_calls(monkeypatch, LaurentPoly, "exact_divide")
     known = {box: [decoy, quotient]}
     assert s.mutate(0, known=known).vars[0] is quotient
     assert divisions == []
