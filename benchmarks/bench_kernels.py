@@ -1,4 +1,4 @@
-"""Time the arithmetic kernels and eleven library workloads.
+"""Time the arithmetic kernels and twelve library workloads.
 
 Micro rows call the kernels directly on deterministic term dictionaries.
 Macro rows run a library workload in a fresh interpreter subprocess.
@@ -249,6 +249,15 @@ MACRO_SNIPPETS = {
         "seed = initial_seed(corpus.load('a3'), GF(5))\n"
         "pres = lower_bound_generators(seed)\n"
         "assert compat_check(pres, 5, degree_bounded_monomials(6, 2)).ok\n"),
+    "compat a3 p=7 degree 2": (
+        "from clusterfrob import corpus\n"
+        "from clusterfrob.fields import GF\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "from clusterfrob.lowerbound import (compat_check,\n"
+        "    degree_bounded_monomials, lower_bound_generators)\n"
+        "seed = initial_seed(corpus.load('a3'), GF(7))\n"
+        "pres = lower_bound_generators(seed)\n"
+        "assert compat_check(pres, 7, degree_bounded_monomials(6, 2)).ok\n"),
     "markov membership a=3 depth 3": (
         "from clusterfrob.fields import QQ\n"
         "from clusterfrob.seed import upper_membership_sample\n"

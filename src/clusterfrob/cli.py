@@ -54,8 +54,17 @@ def _field_for(args) -> object:
 
 def _resolve_quiver(ref: str):
     if os.path.exists(ref):
-        with open(ref, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(ref, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise QuiverFormatError(f"{ref}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise QuiverFormatError(
+                f"{ref}: not UTF-8 text at byte {exc.start}") from exc
+        except json.JSONDecodeError as exc:
+            raise QuiverFormatError(f"{ref}: line {exc.lineno}, column "
+                                    f"{exc.colno}: {exc.msg}") from exc
         return quiver_from_dict(data, source=ref), data, ref
     try:
         q = corpus.load(ref)
@@ -65,11 +74,7 @@ def _resolve_quiver(ref: str):
 
 
 def _load_seed(ref: str, field) -> tuple[Seed, str]:
-    try:
-        q, data, label = _resolve_quiver(ref)
-    except json.JSONDecodeError as exc:
-        raise QuiverFormatError(
-            f"{ref}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    q, data, label = _resolve_quiver(ref)
     if data and "vars" in data:
         raw = data["vars"]
         if (not isinstance(raw, list) or len(raw) != q.n

@@ -16,13 +16,20 @@ from functools import lru_cache
 
 from .errors import FieldMismatchError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# the least strong pseudoprime to every base in _MR_BASES
+_MR_EXACT_BELOW = 1287836182261 * 2575672364521
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3e24; a larger n
+    raises ValueError."""
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"cannot decide whether {n} is prime: only "
+                         f"n < {_MR_EXACT_BELOW} is decided")
     for small in _MR_BASES:
         if n % small == 0:
             return n == small

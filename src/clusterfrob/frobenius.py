@@ -1,11 +1,12 @@
 """The splitting calculus on Laurent rings over GF(p).
 
-Everything is built from one primitive: the standard splitting of the
-Laurent ring, which keeps exactly the terms whose exponents are all
-divisible by p^e, divides those exponents by p^e, and keeps coefficients
-(the Frobenius fixes GF(p) pointwise).  Twisted maps premultiply by a
-rational twist and clear denominators through the p^e-th root:
-    phi((a/b)^(1/q)) = phi((a * b^(q-1))^(1/q)) / b         with q = p^e.
+Every split is one primitive, `LaurentPoly.mul_split`: Tr_{q,r}(a * b)
+keeps the terms of a * b with all exponents congruent to r mod q, divides
+(e - r) by q, and keeps coefficients (the Frobenius fixes GF(p)
+pointwise).  The standard splitting phi^e is Tr_{q,0}(1 * f), q = p^e.
+Twisted maps premultiply by a rational twist and clear denominators
+through the q-th root:
+    phi((a/b)^(1/q)) = Tr_{q,0}(a * b^(q-1)) / b.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (FieldMismatchError, NoMutableVertexError,
                      NotAcyclicError, NotDivisibleError,
                      VerificationFailedError)
 from .fields import GF, same_field
-from .laurent import LaurentPoly, RationalExpr
+from .laurent import LaurentPoly, RationalExpr, _power
 from .seed import (Seed, _exchange_sum_symbolic, cluster_substitution,
                    express_rational)
 
@@ -30,11 +31,12 @@ def _require_prime_field(obj, p: int):
 
 def standard_split(f: LaurentPoly, p: int, e: int = 1) -> LaurentPoly:
     """Apply the standard splitting phi^e to f^(1/p^e): keep terms with all
-    exponents divisible by p^e, divide those exponents by p^e."""
+    exponents divisible by p^e, divide those exponents by p^e.  The
+    constant 1 is the grouped factor, so nothing is kept on f."""
     _require_prime_field(f, p)
     if e < 1:
         raise ValueError("e must be at least 1")
-    return f.split(p ** e)
+    return LaurentPoly.one(f.field, f.n).mul_split(f, p ** e, 0)
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,14 @@ def split_apply(m: SplittingMap, r: RationalExpr | LaurentPoly
                 ) -> RationalExpr:
     """Evaluate the splitting map on a fraction by clearing denominators:
     with twist*r = a/b and q = p^e, the value is
-    standard_split(a * b^(q-1)) / b, returned with the final division
-    attempted (so Laurent values come back with denominator 1).  When b
-    is 1 the value is standard_split(a), with no product and no
-    division."""
-    if isinstance(r, LaurentPoly):
-        r = RationalExpr(r)
+    Tr_{q,0}(b^(q-1) * a) / b, returned with the final division attempted
+    (so Laurent values come back with denominator 1).  A denominator of 1
+    is neither powered nor divided by."""
     _require_prime_field(r, m.p)
     fraction = m.twist * r
     a, b = fraction.num, fraction.den
-    if b.is_one():
-        return RationalExpr(standard_split(a, m.p, m.e), b)
     q = m.p ** m.e
-    cleared = standard_split(a * b ** (q - 1), m.p, m.e)
+    cleared = _power(b, q - 1).mul_split(a, q, 0)
     return RationalExpr(cleared, b).simplify()
 
 
@@ -112,7 +109,7 @@ def hom_generator(p: int, n: int, values: dict) -> LaurentPoly:
         s = s + val ** p * mono
     for b in box:
         expected = values.get(b, LaurentPoly.zero(fld, n))
-        got = standard_split(s * LaurentPoly.monomial(fld, n, b), p, 1)
+        got = s.mul_split(LaurentPoly.monomial(fld, n, b), p, 0)
         if got != expected:
             raise VerificationFailedError(
                 f"generator check failed on basis exponent {b}: "
@@ -148,9 +145,9 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
 
     The image is `split_apply` of the standard map, computed once per
     power of x'_k: with x'_k^alpha_k = a/b, the cleared numerator
-    c = a * b^(p-1) (or a when b is 1) and its residue groups are cached
-    by alpha_k, and an image is the fused split of c * x^m, with m = alpha
-    with coordinate k set to 0, over b.
+    c = a * b^(p-1) (or a when b is 1) is cached with b by alpha_k, and
+    an image is the split of c * x^m, with m = alpha with coordinate k
+    set to 0, over b.
 
     Each residue class is re-read once.  Write m = rho + p*beta with rho
     in [0, p)^n, so rho_k = beta_k = 0.  The split of c * x^m is x^beta
@@ -185,10 +182,10 @@ def splitting_invariance_check(seed: Seed, k: int, p: int,
             power = xk_new ** alpha[k]
             a, b = power.num, power.den
             c = a if b.is_one() else a * b ** (p - 1)
-            cached = powers[alpha[k]] = (b, c, c.residue_groups(p))
-        b, c, groups = cached
+            cached = powers[alpha[k]] = b, c
+        b, c = cached
         mono = LaurentPoly.monomial(fld, n, alpha[:k] + (0,) + alpha[k + 1:])
-        image = RationalExpr(c.mul_split(mono, p, 0, groups), b).simplify()
+        image = RationalExpr(c.mul_split(mono, p, 0), b).simplify()
         moved = express_rational(image, steps)
         if all(a % p == 0 for a in alpha):
             expected = LaurentPoly.monomial(

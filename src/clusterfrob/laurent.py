@@ -10,9 +10,8 @@ rendering used by the CLI, and unreduced numerator/denominator pairs
 This module and `kernels` are the only ones that know the term format.
 Other modules read a polynomial through its public (exponents,
 coefficient) view, `for e, c in poly`, and reach the term map only
-through methods: the standard splitting `split`, the fused
-multiply-and-split `mul_split` with the grouping `residue_groups` it
-takes, and the change of variable `substitute_reciprocal`.
+through methods: the split `mul_split`, which keeps the residue grouping
+of its left factor, and the change of variable `substitute_reciprocal`.
 
 Laurent monomials are units, and units cost nothing: a product with a
 one-term factor is a shift, an exact division by a one-term divisor is
@@ -46,13 +45,14 @@ class LaurentPoly:
     __init__ trusts its input.
     """
 
-    __slots__ = ("field", "n", "terms", "_hash")
+    __slots__ = ("field", "n", "terms", "_hash", "_groups")
 
     def __init__(self, field, n: int, terms: dict):
         self.field = field
         self.n = n
         self.terms = terms
         self._hash = None
+        self._groups = None  # (q, residue groups mod q) of mul_split
 
     # -- construction -----------------------------------------------------
 
@@ -203,37 +203,23 @@ class LaurentPoly:
                                   budgets.raw_allowance())
         return LaurentPoly(self.field, self.n, terms)
 
-    def split(self, q: int) -> "LaurentPoly":
-        """The terms whose exponents are all divisible by q, each stored
-        at its exponents divided by q; coefficients are kept."""
-        out = {}
-        for e, c in self.terms.items():
-            if all(a % q == 0 for a in e):
-                out[tuple(a // q for a in e)] = c
-        return LaurentPoly(self.field, self.n, out)
-
-    def residue_groups(self, q: int):
-        """The terms grouped by exponent residue mod q, in the form
-        `mul_split` takes them: a factor that meets many others is
-        grouped once and the groups passed to each call."""
-        return kernels.residue_groups(self.terms, q)
-
-    def mul_split(self, other: "LaurentPoly", q: int, r: int,
-                  groups=None) -> "LaurentPoly":
+    def mul_split(self, other: "LaurentPoly", q: int, r: int) -> "LaurentPoly":
         """The terms of self * other whose exponents are all congruent to
         r mod q, each stored at (e - r) // q.  Only those pairs are
         formed, and only they are charged, under the budgets of a
-        product.  Over GF(p) only: the kernel reduces mod p.  `groups`,
-        when given, is `self.residue_groups(q)`."""
+        product.  Over GF(p) only: the kernel reduces mod p.  self keeps
+        its grouping by exponent residue mod q for the next call at that
+        q, so the factor that meets many others goes on the left."""
         self._compat(other)
         p = self.field.char
         if not p:
             raise FieldMismatchError(
                 f"mul_split needs a prime field, got {self.field!r}")
-        if groups is None:
-            groups = kernels.residue_groups(self.terms, q)
-        terms = kernels.mul_split_terms(other.terms, self.terms, groups, p,
-                                        q, r, budgets.current().max_terms,
+        cached = self._groups
+        if cached is None or cached[0] != q:
+            cached = self._groups = q, kernels.residue_groups(self.terms, q)
+        terms = kernels.mul_split_terms(other.terms, self.terms, cached[1],
+                                        p, q, r, budgets.current().max_terms,
                                         budgets.raw_allowance())
         return LaurentPoly(self.field, self.n, terms)
 

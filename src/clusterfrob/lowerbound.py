@@ -12,14 +12,14 @@ itself.  The basis split keeps exactly the monomials with every exponent
 congruent to p-1 mod p, subtracts p-1 from each exponent and divides by p
 (the monomial x^(p-1, ..., p-1) is the one the dual basis picks out).
 
-psi never forms the whole product f^(p-1) * r: the fused
+psi never forms the whole product f^(p-1) * r: the split
 `LaurentPoly.mul_split` pairs each term of r only with the terms of
 f^(p-1) that complete it to the kept residue class.  A presentation has
-one field, so one p: f^(p-1) is built by plain products and grouped by
-exponent residue mod p once, on its first psi call, and kept only when
-both are complete.  They run in psi's `budgets.raw_meter()` block, so
-they share one max_raw_products allowance with the product, and inside
-an enclosing meter they draw on what it has left.
+one field, so one p: f^(p-1) is built by plain products on the first psi
+call, kept once complete, and keeps its own residue grouping.  The
+products run in psi's `budgets.raw_meter()` block, so they share one
+max_raw_products allowance with the split, and inside an enclosing
+meter they draw on what it has left.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class LowerBoundPresentation:
     xprime: tuple[LaurentPoly, ...]         # first mutations, in n variables
 
     def __post_init__(self):
-        # (f^(p-1), its residue groups mod p), built by the first psi call
-        self._fsplit: tuple[LaurentPoly, dict] | None = None
+        # f^(p-1), built by the first psi call
+        self._fpow: LaurentPoly | None = None
 
     @property
     def n(self) -> int:
@@ -104,14 +104,13 @@ def psi_f_apply(pres: LowerBoundPresentation, r: LaurentPoly,
         raise ValueError("psi arguments live in the polynomial ring; "
                          "negative exponents are not allowed")
     with budgets.raw_meter():
-        if pres._fsplit is None:
+        if pres._fpow is None:
             fpow = pres.f
             for _ in range(p - 2):
                 for g in pres.gens:
                     fpow = fpow * g
-            pres._fsplit = fpow, fpow.residue_groups(p)
-        fpow, groups = pres._fsplit
-        return fpow.mul_split(r, p, p - 1, groups)
+            pres._fpow = fpow
+        return pres._fpow.mul_split(r, p, p - 1)
 
 
 def verify_lb_splitting(pres: LowerBoundPresentation, p: int) -> bool:

@@ -400,6 +400,34 @@ def test_malformed_quiver_file(tmp_path, capsys):
     assert "column" in err
 
 
+def test_unreadable_quiver_path_names_the_file(tmp_path, capsys):
+    # a directory, and a file that is not UTF-8, are format errors
+    code, out, err = run(capsys, "mutate", "--quiver", str(tmp_path),
+                         "--at", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {tmp_path}: Is a directory\n")
+    path = tmp_path / "latin1.quiver"
+    path.write_bytes(b'{"n": 1, "arrows": [], "note": "caf\xe9"}')
+    code, out, err = run(capsys, "mutate", "--quiver", str(path), "--at", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8 text at byte 35\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    # a strong pseudoprime to the prime bases 2..37, and the least one
+    # to 2..41, past which primality is not decided
+    (318665857834031151167461, "is not prime"),
+    (3317044064679887385961981, "only n < 3317044064679887385961981 "
+                                "is decided"),
+])
+def test_prime_past_the_exact_test_is_a_usage_error(capsys, value, message):
+    code, out, err = run(capsys, "laurent", "--vars", "1", "--prime",
+                         str(value), "--op", "mul", "--lhs", "2*x1",
+                         "--rhs", "x1")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_no_subcommand_prints_help(capsys):
     code, out, _ = run(capsys)
     assert code == 2

@@ -24,6 +24,30 @@ def test_is_prime_carmichael():
     assert is_prime(2**31 - 1)
 
 
+def test_is_prime_rejects_a_pseudoprime_to_the_bases_through_37():
+    # a strong pseudoprime to all twelve prime bases 2..37; base 41
+    # exposes it
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="is not prime"):
+        GF(n)
+    assert is_prime(2**61 - 1)
+    assert GF(2**61 - 1).invert(2) * 2 % (2**61 - 1) == 1
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # the least strong pseudoprime to every prime base through 41: from it
+    # on, Miller-Rabin on those bases no longer decides primality
+    bound = 1287836182261 * 2575672364521
+    assert bound == 3_317_044_064_679_887_385_961_981
+    for n in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(n)
+        with pytest.raises(ValueError, match=str(bound)):
+            GF(n)
+
+
 def test_qq_coercion():
     # canonical form: an int while integral, else a reduced Fraction
     assert QQ.coerce(3) == 3 and type(QQ.coerce(3)) is int

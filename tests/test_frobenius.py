@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from clusterfrob import (GF, BudgetExceededError, FieldMismatchError,
                          LaurentPoly, MutationAtFrozenError, NotAcyclicError,
                          NotDivisibleError, RationalExpr, SplittingMap,
-                         cluster_substitution, corpus, express_rational,
-                         freg_witness_sink, frobenius, hom_generator,
-                         initial_seed, split_apply,
+                         budgets, cluster_substitution, corpus,
+                         express_rational, freg_witness_sink, frobenius,
+                         hom_generator, initial_seed, split_apply,
                          splitting_invariance_check, standard_split)
 
 
@@ -69,6 +69,98 @@ def test_standard_split_p_linear(f, g):
 @given(gf_polys(5, 1))
 def test_standard_split_section_of_frobenius(f):
     assert standard_split(f ** 5, 5) == f
+
+
+def residue_filter(f, q, r=0):
+    """The unfused split, every split's oracle: the terms of f whose
+    exponents are all congruent to r mod q, stored at (e - r) // q."""
+    return {tuple((a - r) // q for a in e): c for e, c in f
+            if all(a % q == r for a in e)}
+
+
+@st.composite
+def split_cases(draw):
+    """(p, e, f) with f over GF(p); about half the exponents drawn are
+    multiples of q = p^e, so that terms are kept."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    e = draw(st.integers(min_value=1, max_value=2))
+    q = p ** e
+    n = draw(st.integers(min_value=1, max_value=3))
+    exp = st.one_of(st.integers(min_value=-2 * q, max_value=2 * q),
+                    st.integers(min_value=-2, max_value=2).map(q.__mul__))
+    terms = draw(st.dictionaries(st.tuples(*[exp] * n),
+                                 st.integers(min_value=1, max_value=p - 1),
+                                 max_size=8))
+    return p, e, lp(GF(p), n, list(terms.items()))
+
+
+@given(split_cases())
+def test_standard_split_is_the_residue_filter(case):
+    p, e, f = case
+    assert standard_split(f, p, e).terms == residue_filter(f, p ** e)
+
+
+@given(split_cases(), st.data())
+def test_split_apply_is_the_filtered_whole_product(case, data):
+    # split_apply forms only the kept pairs of a * b^(q-1): its value is
+    # the whole product, filtered, then divided by b where that is exact
+    p, e, a = case
+    fld, n, q = GF(p), a.n, p ** e
+    b = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * n),
+        st.integers(min_value=1, max_value=p - 1), min_size=1, max_size=3))
+    b = lp(fld, n, list(b.items()))
+    cleared = LaurentPoly(fld, n, residue_filter(a * b ** (q - 1), q))
+    want = RationalExpr(cleared, b).simplify()
+    got = split_apply(SplittingMap.standard(p, e, n), RationalExpr(a, b))
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_split_grouping_is_kept_per_modulus():
+    # one polynomial split at q = p, then p^2, then p again: each split is
+    # that of a fresh copy, so a grouping kept for one q never serves
+    # another
+    fld = GF(3)
+    c = lp(fld, 2, [((0, 0), 1), ((3, 6), 2), ((9, 0), 1), ((1, 2), 1),
+                    ((8, 17), 2), ((2, -1), 1)])
+    others = [LaurentPoly.one(fld, 2), LaurentPoly.monomial(fld, 2, (1, 1)),
+              lp(fld, 2, [((0, 1), 1), ((2, 0), 2), ((6, 3), 1)])]
+    for q in (3, 9, 3):
+        for r in (0, q - 1):
+            for other in others:
+                fresh = LaurentPoly(fld, 2, dict(c.terms))
+                got = c.mul_split(other, q, r)
+                assert got == fresh.mul_split(other, q, r), (q, r)
+                assert got.terms == residue_filter(c * other, q, r), (q, r)
+    assert residue_filter(c, 3) != residue_filter(c, 9)
+
+
+def test_split_charges_the_pairs_it_keeps(monkeypatch):
+    # a split drains the meter by the pairs it keeps and forms, and no
+    # more; a denominator of 1 is neither powered nor divided by
+    fld = GF(3)
+    f = lp(fld, 2, [((0, 0), 1), ((3, 6), 2), ((1, 2), 1), ((9, 3), 2)])
+    with budgets.raw_meter(10) as meter:
+        assert standard_split(f, 3).terms == {(0, 0): 1, (1, 2): 2,
+                                              (3, 1): 2}
+    assert meter[0] == 7
+    with budgets.raw_meter(3):
+        standard_split(f, 3)
+    with pytest.raises(BudgetExceededError) as err:
+        with budgets.raw_meter(2):
+            standard_split(f, 3)
+    assert err.value.budget == "max_raw_products"
+
+    def forbidden(self, other):
+        raise AssertionError(f"{self.render()} powered or divided")
+
+    monkeypatch.setattr(LaurentPoly, "__pow__", forbidden)
+    monkeypatch.setattr(LaurentPoly, "exact_divide", forbidden)
+    m = SplittingMap.standard(3, 2, 2)
+    with budgets.raw_meter(10) as meter:
+        value = split_apply(m, RationalExpr(f))
+    assert meter[0] == 9
+    assert value.den.is_one() and value.num.terms == {(0, 0): 1}
 
 
 # -- twisted maps on fractions -------------------------------------------------
@@ -221,10 +313,10 @@ def test_invariance_rejects_frozen_vertex():
 MUL_SPLIT = LaurentPoly.mul_split
 
 
-def split_off_by_one(self, other, q, r, groups=None):
+def split_off_by_one(self, other, q, r):
     """Keeps the exponents = r + 1 mod q, stored at (e - r - 1)/q: a
     p^(-1)-linear map, but not the standard splitting."""
-    return MUL_SPLIT(self, other, q, r + 1, groups)
+    return MUL_SPLIT(self, other, q, r + 1)
 
 
 def test_invariance_fails_for_a_split_off_by_one(monkeypatch):
