@@ -40,13 +40,6 @@ USAGE_EXIT = 2
 MATH_EXIT = 1
 
 
-class _MathFailure(Exception):
-    """Internal: certificate-level failure with a finished certificate."""
-
-    def __init__(self, cert: Certificate):
-        self.cert = cert
-
-
 def _field_for(args) -> object:
     prime = getattr(args, "prime", None)
     return QQ if prime is None else GF(prime)
@@ -89,11 +82,11 @@ def _load_seed(ref: str, field) -> tuple[Seed, str]:
     return initial_seed(q, field), label
 
 
-def _vertex(k: int, n: int, frozen=frozenset()) -> int:
+def _vertex(k: int, n: int, frozen=frozenset(), noun="vertex") -> int:
     """The 0-based index of 1-based vertex k; errors name k 1-based."""
     if not 1 <= k <= n:
         raise argparse.ArgumentTypeError(
-            f"vertex {k} out of range 1..{n}")
+            f"{noun} {k} out of range 1..{n}")
     if k - 1 in frozen:
         raise MutationAtFrozenError(f"vertex {k} is frozen")
     return k - 1
@@ -182,12 +175,13 @@ def _cmd_laurent(args) -> Certificate:
             out = lhs.exact_divide(rhs)
         except NotDivisibleError as exc:
             cert.add_check("exact-division", False, str(exc))
-            raise _MathFailure(cert)
+            return cert
         cert.add_check("exact-division", True)
     else:  # diff
         if args.index is None:
             raise argparse.ArgumentTypeError("--index required for diff")
-        out = lhs.partial_derivative(_vertex(args.index, args.vars))
+        out = lhs.partial_derivative(
+            _vertex(args.index, args.vars, noun="variable"))
     cert.add_witness("value", out.render())
     if args.op == "div":
         cert.add_check("quotient-times-divisor", out * rhs == lhs)
@@ -230,7 +224,7 @@ def _cmd_certify_acyclic(args) -> Certificate:
         witness = freg_witness_sink(seed, args.prime)
     except (NotAcyclicError, NoMutableVertexError) as exc:
         cert.add_check("hypotheses", False, str(exc))
-        raise _MathFailure(cert)
+        return cert
     cert.add_check("hypotheses", True)
     cert.add_witness("sink", witness.sink + 1)
     cert.add_witness("e", witness.e)
@@ -298,7 +292,7 @@ def _cmd_markov(args) -> Certificate:
             result = markov_freg_certificate(args.prime, args.e)
         except BadCharacteristicError as exc:
             cert.add_check("characteristic", False, str(exc))
-            raise _MathFailure(cert)
+            return cert
         cert.add_check("characteristic", True)
         cert.add_witness("twist", result.map.twist.render())
         cert.add_witness("value", result.value.render())
@@ -420,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_explore)
 
     sp = sub.add_parser("laurent", help="exact Laurent arithmetic")
-    sp.add_argument("--vars", type=int, required=True)
+    sp.add_argument("--vars", type=nonnegative_int, required=True)
     sp.add_argument("--prime", type=int, default=None)
     sp.add_argument("--op", required=True,
                     choices=["add", "sub", "mul", "div", "diff"])
@@ -431,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_laurent)
 
     sp = sub.add_parser("split", help="apply a twisted splitting map")
-    sp.add_argument("--vars", type=int, required=True)
+    sp.add_argument("--vars", type=nonnegative_int, required=True)
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--e", type=int, default=1)
     sp.add_argument("--num", required=True)
@@ -497,11 +491,6 @@ def main(argv=None) -> int:
     try:
         with budgets.limits(**overrides):
             cert = args.func(args)
-    except _MathFailure as fail:
-        fail.cert.passed = False
-        _print(fail.cert, args.json)
-        _stderr_time(started)
-        return MATH_EXIT
     except (QuiverFormatError, BudgetExceededError, MutationAtFrozenError,
             argparse.ArgumentTypeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

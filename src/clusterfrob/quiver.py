@@ -39,12 +39,12 @@ class Quiver:
             raise ValueError(f"exchange matrix must be {self.n}x{self.n}")
         for i, row in enumerate(b):
             for j, x in enumerate(row):
-                if not isinstance(x, int):
+                if not _is_int(x):
                     raise TypeError("exchange matrix entries must be ints")
                 if x != -b[j][i]:
                     raise ValueError(f"matrix not skew-symmetric at ({i},{j})")
         frozen = frozenset(self.frozen)
-        if not all(isinstance(v, int) and 0 <= v < self.n for v in frozen):
+        if not all(_is_int(v) and 0 <= v < self.n for v in frozen):
             raise ValueError("frozen set contains an out-of-range vertex")
         # isolated-vertex convention
         for i, row in enumerate(b):
@@ -180,6 +180,11 @@ class Quiver:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: a bool counts no arrows, names no vertex."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def quiver_from_dict(data: dict, source: str = "<quiver>") -> Quiver:
     """Validate the {"n":..., "frozen":..., "arrows":...} shape (1-based)."""
 
@@ -192,14 +197,14 @@ def quiver_from_dict(data: dict, source: str = "<quiver>") -> Quiver:
     if unknown:
         raise bad(f"unknown keys {sorted(unknown)}")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise bad("'n' must be a positive integer")
+    if not _is_int(n) or n < 1:
+        raise bad(f"'n' must be a positive integer, got {n!r}")
     frozen_raw = data.get("frozen", [])
     if not isinstance(frozen_raw, list):
         raise bad("'frozen' must be a list")
     frozen = set()
     for v in frozen_raw:
-        if not isinstance(v, int) or not 1 <= v <= n:
+        if not _is_int(v) or not 1 <= v <= n:
             raise bad(f"frozen vertex {v!r} out of range 1..{n}")
         frozen.add(v - 1)
     arrows = data.get("arrows", [])
@@ -209,7 +214,7 @@ def quiver_from_dict(data: dict, source: str = "<quiver>") -> Quiver:
     seen: set[tuple[int, int]] = set()
     for entry in arrows:
         if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(x, int) for x in entry)):
+                or not all(map(_is_int, entry))):
             raise bad(f"arrow {entry!r} must be [from, to, multiplicity]")
         i, j, m = entry
         if not 1 <= i <= n or not 1 <= j <= n:

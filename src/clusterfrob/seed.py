@@ -6,10 +6,10 @@ initial cluster, so mutation itself witnesses the Laurent phenomenon: the
 new variable is the exact quotient (p_plus + p_minus) / x_k, and from a
 quiver's initial seed a failure is a bug (LaurentViolationError).  A seed
 built from given `vars` can fail it when they are not a cluster of the
-quiver.  `explore` proves each exchange relation x_k * y = p_plus + p_minus
-once, keyed by interned variable ids: a new variable by division, a known
-one by one product, and an edge whose relation is known costs no
-arithmetic.
+quiver.  `Seed.mutate` is that division alone.  `explore` keeps its own
+table of variables and proves each exchange relation x_k * y = p_plus +
+p_minus once: a known y by one product, a new one by the division, and an
+edge whose relation is known costs no arithmetic.
 
 A change of cluster is a sequence of one-variable substitutions
 z_k -> N_k / z_k, one per mutation along the path (`cluster_substitution`
@@ -40,6 +40,7 @@ class Seed:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "vars", tuple(self.vars))
         if len(self.vars) != self.quiver.n:
             raise ValueError(
                 f"{len(self.vars)} variables for {self.quiver.n} vertices")
@@ -99,49 +100,18 @@ class Seed:
 
     # -- mutation -------------------------------------------------------------
 
-    def mutate(self, k: int, known=None) -> "Seed":
+    def mutate(self, k: int) -> "Seed":
         """Seed mutation at mutable vertex k: the new k-th variable is the
         exact quotient (p_plus + p_minus) / x_k.
 
-        `known`, which `explore` passes, maps a support box to the
-        variables found so far with that box.  Support extremes add under
-        products, so the quotient's box is that of p_plus + p_minus minus
-        that of x_k; a variable y in that box with x_k * y equal to
-        p_plus + p_minus is the quotient, since the Laurent ring is a
-        domain.  Only when no such y exists is the quotient found by
-        division, and it then joins the index.
-
-        The result is built unchecked.  The new variable is a product or
-        quotient of variables of this seed, so it keeps their field and
-        ring, and the count of variables is kept.  It is nonzero when
-        p_plus + p_minus is, which a cluster of the quiver always gives
-        but given `vars` need not: that one property is checked here,
-        before any division."""
+        The result is built unchecked.  The new variable is a quotient of
+        variables of this seed, so it keeps their field and ring, and the
+        count of variables is kept.  It is nonzero when p_plus + p_minus
+        is, which a cluster of the quiver always gives but given `vars`
+        need not: `_divide_exchange` checks that before it divides."""
         plus, minus = self.exchange_monomials(k)
-        exchange = plus + minus
-        if exchange.is_zero():
-            raise ValueError("cluster variables are nonzero")
-        x = self.vars[k]
-        new_var = bucket = None
-        if known is not None:
-            (lo_p, hi_p), (lo_x, hi_x) = exchange.support_box(), x.support_box()
-            bucket = known.setdefault((tuple(map(sub, lo_p, lo_x)),
-                                       tuple(map(sub, hi_p, hi_x))), [])
-            for y in bucket:
-                if x * y == exchange:
-                    new_var = y
-                    break
-        if new_var is None:
-            try:
-                new_var = exchange.exact_divide(x)
-            except NotDivisibleError as exc:
-                raise LaurentViolationError(
-                    f"mutation at {k} produced a non-Laurent variable; "
-                    f"this is a bug", k) from exc
-            if bucket is not None:
-                bucket.append(new_var)
         new_vars = list(self.vars)
-        new_vars[k] = new_var
+        new_vars[k] = _divide_exchange(plus + minus, self.vars[k], k)
         return Seed._unchecked(self.quiver.mutate(k), tuple(new_vars),
                                self.path + (k,))
 
@@ -161,6 +131,21 @@ class Seed:
         of a cluster never carry the same variable; a variable repeated
         among given vars ties, and the tie falls to the vertex order."""
         return _ordered_key(self.quiver, [v.sort_key() for v in self.vars])
+
+
+def _divide_exchange(exchange: LaurentPoly, x: LaurentPoly,
+                     k: int) -> LaurentPoly:
+    """The new k-th variable exchange / x_k, where exchange is
+    p_plus + p_minus at k.  A zero exchange is refused, for its quotient 0
+    is no variable; a remainder makes a LaurentViolationError."""
+    if exchange.is_zero():
+        raise ValueError("cluster variables are nonzero")
+    try:
+        return exchange.exact_divide(x)
+    except NotDivisibleError as exc:
+        raise LaurentViolationError(
+            f"mutation at {k} produced a non-Laurent variable; "
+            f"this is a bug", k) from exc
 
 
 def _ordered_key(quiver: Quiver, labels) -> tuple:
@@ -204,12 +189,13 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
     read in the cluster's order.  `closed` reports whether the frontier
     emptied within the bound, i.e. the whole exchange graph was seen.
 
-    Each variable gets an int id when the walk first finds it, and the
-    walk keys a seed by its sorted ids with the quiver read in that
-    order.  Ids name variables one to one, as the sort keys of `Seed.key`
-    do, and a tie (a variable repeated among given vars) falls to the
-    vertex order in both, so this key makes the dedup decisions of
-    `Seed.key` without sorting any terms.
+    The walk files each variable it finds under an int id and indexes the
+    ids by support box.  It keys a seed by its sorted ids with the quiver
+    read in that order, and builds a seed only once its key is new.  Ids
+    name variables one to one, as the sort keys of `Seed.key` do, and a
+    tie (a variable repeated among given vars) falls to the vertex order
+    in both, so this key makes the dedup decisions of `Seed.key` without
+    sorting any terms.
 
     Each edge is crossed once.  Mutation is an involution, so when the
     walk reaches t by mutating at k, mutating t's class at the vertex
@@ -221,22 +207,16 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
     monomials as sorted (id, multiplicity) multisets.  The same x_k, A
     and B give the same p_plus + p_minus, hence, the Laurent ring being a
     domain, the same quotient y, so an edge whose relation is filed takes
-    y with no arithmetic.  An edge with a new relation runs `Seed.mutate`
-    against an index of the variables by support box, which proves a
-    known quotient by one product and divides only for a new one; the
-    relation is then filed both ways, x_k -> y and y -> x_k."""
+    y with no arithmetic.  A new relation is proved by `_prove_exchange`
+    and filed both ways, x_k -> y and y -> x_k."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     max_seeds = budgets.current().max_seeds
-    ids: dict = {}
-    found: list = []  # the variable of each id
-    known: dict = {}
-    for v in seed.vars:
-        if v not in ids:
-            ids[v] = len(found)
-            found.append(v)
-            known.setdefault(v.support_box(), []).append(v)
-    vid = tuple(ids[v] for v in seed.vars)
+    found = list(dict.fromkeys(seed.vars))  # the variable of each id
+    index: dict = {}  # support box -> the ids of the variables in it
+    for i, v in enumerate(found):
+        index.setdefault(v.support_box(), []).append(i)
+    vid = tuple(map(found.index, seed.vars))
     key = _ordered_key(seed.quiver, vid)
     seen = {key}
     crossed: dict = {}
@@ -258,21 +238,12 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
                 pair = (a, b) if a <= b else (b, a)
                 y = relations.get((x, pair))
                 if y is None:
-                    t = s.mutate(k, known=known)
-                    new_var = t.vars[k]
-                    y = ids.get(new_var)
-                    if y is None:
-                        y = ids[new_var] = len(found)
-                        found.append(new_var)
+                    y = _prove_exchange(s, k, found, index)
                     relations[x, pair] = y
                     relations[y, pair] = x
-                else:
-                    new_vars = list(s.vars)
-                    new_vars[k] = found[y]
-                    t = Seed._unchecked(q.mutate(k), tuple(new_vars),
-                                        s.path + (k,))
                 tid = vid[:k] + (y,) + vid[k + 1:]
-                tk = _ordered_key(t.quiver, tid)
+                tq = q.mutate(k)
+                tk = _ordered_key(tq, tid)
                 crossed.setdefault(tk, set()).add(y)
                 if tk in seen:
                     continue
@@ -280,6 +251,8 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
                     raise BudgetExceededError(
                         "max_seeds", f"exploration passed {max_seeds} seeds")
                 seen.add(tk)
+                t = Seed._unchecked(tq, s.vars[:k] + (found[y],)
+                                    + s.vars[k + 1:], s.path + (k,))
                 order.append(t)
                 nxt.append((tk, t, tid))
         if not nxt:
@@ -292,6 +265,31 @@ def explore(seed: Seed, depth: int) -> ExploreResult:
         closed = depth == 0 and not seed.quiver.mutable
     variables_sorted = tuple(sorted(found, key=lambda v: v.sort_key()))
     return ExploreResult(tuple(order), variables_sorted, closed, depth)
+
+
+def _prove_exchange(s: Seed, k: int, found: list, index: dict) -> int:
+    """The id of the new k-th variable of s, (p_plus + p_minus) / x_k.
+
+    Support extremes add under products, so the quotient's box is that of
+    p_plus + p_minus minus that of x_k, and a known y of that box in
+    `index` with x_k * y = p_plus + p_minus is the quotient, the Laurent
+    ring being a domain.  Otherwise the quotient is divided out.  It is
+    new, for a known variable equal to it would have passed the product,
+    and is filed in `found` and `index` under the next id."""
+    plus, minus = s.exchange_monomials(k)
+    exchange, x = plus + minus, s.vars[k]
+    bucket: list = []
+    if not exchange.is_zero():  # a zero has no box; the division refuses it
+        (lo_p, hi_p), (lo_x, hi_x) = exchange.support_box(), x.support_box()
+        bucket = index.setdefault((tuple(map(sub, lo_p, lo_x)),
+                                   tuple(map(sub, hi_p, hi_x))), [])
+        for y in bucket:
+            if x * found[y] == exchange:
+                return y
+    new_var = _divide_exchange(exchange, x, k)
+    bucket.append(len(found))
+    found.append(new_var)
+    return len(found) - 1
 
 
 def _id_monomial(vid: tuple[int, ...], exps) -> tuple:

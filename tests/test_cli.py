@@ -295,6 +295,28 @@ def test_budget_below_one_rejected(capsys, flag, value):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["laurent", "--op", "add", "--lhs", "1", "--rhs", "1"],
+    ["split", "--prime", "3", "--num", "1"]])
+def test_vars_must_be_nonnegative(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--vars", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be nonnegative" in captured.err
+    # no variables is legal: the constants
+    code, out, _ = run(capsys, *argv, "--vars", "0")
+    assert code == 0 and out.rstrip().endswith("result: PASS")
+
+
+def test_laurent_diff_index_names_a_variable(capsys):
+    code, out, err = run(capsys, "laurent", "--vars", "2", "--op", "diff",
+                         "--lhs", "x1^3", "--index", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: variable 3 out of range 1..2\n")
+
+
 def test_negative_degree_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lowerbound", "--quiver", "a2", "--prime", "3", "--check",
@@ -398,6 +420,22 @@ def test_malformed_quiver_file(tmp_path, capsys):
     code, _, err = run(capsys, "mutate", "--quiver", str(path), "--at", "1")
     assert code == 2
     assert "column" in err
+
+
+@pytest.mark.parametrize("doc,named", [
+    ('{"n": true, "arrows": []}', "'n' must be a positive integer, got True"),
+    ('{"n": 2, "arrows": [[1, 2, true]]}', "arrow [1, 2, True]"),
+    ('{"n": 2, "frozen": [true], "arrows": [[1, 2, 1]]}',
+     "frozen vertex True"),
+])
+def test_boolean_in_quiver_file_is_a_format_error(tmp_path, capsys, doc,
+                                                  named):
+    # JSON true is no integer, though Python's True equals 1
+    path = tmp_path / "bool.quiver"
+    path.write_text(doc)
+    code, out, err = run(capsys, "mutate", "--quiver", str(path), "--at", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and named in err
 
 
 def test_unreadable_quiver_path_names_the_file(tmp_path, capsys):

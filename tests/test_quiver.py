@@ -147,12 +147,13 @@ def construct_entrywise(n, b, frozen):
         raise ValueError(f"exchange matrix must be {n}x{n}")
     for i in range(n):
         for j in range(n):
-            if not isinstance(b[i][j], int):
+            if not isinstance(b[i][j], int) or isinstance(b[i][j], bool):
                 raise TypeError("exchange matrix entries must be ints")
             if b[i][j] != -b[j][i]:
                 raise ValueError(f"matrix not skew-symmetric at ({i},{j})")
     frozen = frozenset(frozen)
-    if not all(isinstance(v, int) and 0 <= v < n for v in frozen):
+    if not all(isinstance(v, int) and not isinstance(v, bool)
+               and 0 <= v < n for v in frozen):
         raise ValueError("frozen set contains an out-of-range vertex")
     for i in range(n):
         if all(b[i][j] == 0 for j in range(n)):
@@ -218,7 +219,7 @@ def test_construction_matches_entrywise_checks(case, data):
             else:
                 rows.append([0] * n)
         elif fault == "frozen":
-            frozen.add(data.draw(st.sampled_from((-1, n, n + 3, 1.5))))
+            frozen.add(data.draw(st.sampled_from((-1, n, n + 3, 1.5, True))))
     matrix = tuple(tuple(r) for r in rows)
 
     def built():
@@ -302,10 +303,21 @@ def test_digest_shape():
     '{"n": 2, "frozen": [3], "arrows": []}',
     '{"n": 2, "frozen": "all", "arrows": []}',
     '{"n": 2, "arrows": [[1, 2, 1]]',
+    '{"n": true, "arrows": []}',
+    '{"n": 2, "arrows": [[1, 2, true]]}',
+    '{"n": 2, "frozen": [true], "arrows": [[1, 2, 1]]}',
 ])
 def test_rejects_malformed_documents(bad):
     with pytest.raises(QuiverFormatError):
         load_quiver_text(bad)
+
+
+def test_construction_refuses_booleans():
+    # True equals 1, but it is no arrow count and no vertex
+    with pytest.raises(TypeError, match="entries must be ints"):
+        Quiver(2, ((0, True), (-1, 0)))
+    with pytest.raises(ValueError, match="out-of-range vertex"):
+        Quiver(2, ((0, 1), (-1, 0)), frozenset({True}))
 
 
 def test_format_error_reports_position():

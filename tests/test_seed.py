@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clusterfrob.seed as seed_module
 from clusterfrob import (GF, QQ, FieldMismatchError, LaurentPoly,
                          NotDivisibleError, NotLaurentError, Quiver,
                          RationalExpr, Seed, budgets,
@@ -122,6 +123,17 @@ def test_seed_stores_its_path_as_a_tuple_of_vertices():
     for bad in ([3], [-1], [0.0], ["0"], [0, None]):
         with pytest.raises(ValueError, match="not a vertex"):
             Seed(q, vars_, bad)
+
+
+def test_seed_stores_its_vars_as_a_tuple():
+    # given as a list, the vars are stored as the tuple that every seed
+    # built by mutation or `initial_seed` holds
+    q = corpus.load("a2")
+    s = Seed(q, list(initial_seed(q, QQ).vars))
+    assert type(s.vars) is tuple
+    assert s.same_state(initial_seed(q, QQ))
+    assert hash(s) == hash(initial_seed(q, QQ))
+    assert s.mutate(0).mutate(0).same_state(s)
 
 
 # -- single mutations ---------------------------------------------------------
@@ -328,17 +340,17 @@ def test_explore_nine_vertex_path():
     assert not result.closed
 
 
-def count_calls(monkeypatch, cls, name):
-    """Patch method `name` of `cls` to record its calls; returns the
-    record."""
+def count_calls(monkeypatch, owner, name):
+    """Patch the method or function `name` of class or module `owner` to
+    record the arguments of its calls; returns the record."""
     calls = []
-    method = getattr(cls, name)
+    function = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return method(self, *args, **kwargs)
+        return function(*args, **kwargs)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -346,10 +358,11 @@ EXPLORE_COUNTS = {
     # (seeds, edges, proofs, divisions) to closure.  Each edge is
     # crossed once, from one end: a seed has one edge per mutable vertex,
     # so there are seeds * n / 2 edges, each one `Quiver.mutate`.  Each
-    # exchange relation x * y = P is proved once, by one `Seed.mutate`,
-    # and every other edge with the same relation reuses it; the division
-    # runs once for each variable the start does not hold, and every
-    # other proof is one product.
+    # exchange relation x * y = P is proved once, by one
+    # `_prove_exchange`, and every other edge with the same relation
+    # reuses it; the division runs once for each variable the start does
+    # not hold, and every other proof is one product.  A seed is built,
+    # by one `Seed._unchecked`, only when its key is new: seeds - 1 times.
     "A4": (lambda: initial_seed(dynkin("A", 4), QQ), 42, 84, 35, 10),
     "A4-mutated": (lambda: initial_seed(dynkin("A", 4), QQ).mutate_path(
         (1, 2, 0)), 42, 84, 35, 10),
@@ -365,13 +378,14 @@ def test_explore_never_mutates_back_along_its_edge(case, monkeypatch):
     make, seeds, edges, proofs, divisions = EXPLORE_COUNTS[case]
     start = make()
     quiver_calls = count_calls(monkeypatch, Quiver, "mutate")
-    seed_calls = count_calls(monkeypatch, Seed, "mutate")
+    proved = count_calls(monkeypatch, seed_module, "_prove_exchange")
     divided = count_calls(monkeypatch, LaurentPoly, "exact_divide")
+    built = count_calls(monkeypatch, Seed, "_unchecked")
     result = explore(start, 100)
     monkeypatch.undo()
     assert (result.seed_count, result.closed) == (seeds, True)
-    assert (len(quiver_calls), len(seed_calls), len(divided)) == \
-        (edges, proofs, divisions)
+    assert (len(quiver_calls), len(proved), len(divided), len(built)) == \
+        (edges, proofs, divisions, seeds - 1)
 
 
 def explore_by_division(seed, depth):
@@ -455,23 +469,29 @@ def test_explore_matches_its_division_twin(case, monkeypatch):
         walk_record(*explore_by_division(start, depth))
 
 
-def test_mutate_proves_a_known_quotient_by_its_product(monkeypatch):
+def test_explore_proves_a_known_quotient_by_its_product(monkeypatch):
+    # `explore`'s proof step at vertex 1 of a2, against a table of
+    # variables `found` and its index of ids by support box
+    prove = seed_module._prove_exchange
     s = seed_for("a2")
     quotient = lp(QQ, 2, [((-1, 1), 1), ((-1, 0), 1)])  # (x2 + 1) / x1
     box = quotient.support_box()
     decoy = lp(QQ, 2, [((-1, 1), 2), ((-1, 0), 1)])
     assert decoy.support_box() == box
+    # a new quotient is divided and filed under the next id
+    found, index = list(s.vars), {}
+    assert prove(s, 0, found, index) == 2
+    assert found[2] == quotient and index == {box: [2]}
     # a candidate of the right box that fails the product is not taken:
-    # the quotient comes from the division and joins the index
-    known = {box: [decoy]}
-    assert s.mutate(0, known=known).vars[0] == quotient
-    assert known[box] == [decoy, quotient]
+    # the quotient comes from the division, under a new id
+    found, index = [*s.vars, decoy], {box: [2]}
+    assert prove(s, 0, found, index) == 3
+    assert found[3] == quotient and index == {box: [2, 3]}
     # a known quotient is taken, with no division
     divisions = count_calls(monkeypatch, LaurentPoly, "exact_divide")
-    known = {box: [decoy, quotient]}
-    assert s.mutate(0, known=known).vars[0] is quotient
+    assert prove(s, 0, found, index) == 3
     assert divisions == []
-    assert known == {box: [decoy, quotient]}
+    assert len(found) == 4 and index == {box: [2, 3]}
 
 
 def test_explore_rejects_a_zero_exchange_polynomial():
