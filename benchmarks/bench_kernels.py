@@ -1,7 +1,9 @@
-"""Time the arithmetic kernels and twelve library workloads.
+"""Time the arithmetic kernels and fourteen library workloads.
 
-Micro rows call the kernels directly on deterministic term dictionaries.
-Macro rows run a library workload in a fresh interpreter subprocess.
+Micro rows call the kernels directly on deterministic term dictionaries;
+the two squares of the markov variable run alternately, so that a drift
+of the host hits both.  Macro rows run a library workload in a fresh
+interpreter subprocess.
 Both import clusterfrob from this checkout's src/, never an installed
 copy.  The markov3 row mutates criterion 1's 200 seeded paths, each
 under raw_meter(10_000), the allowance criterion 1 gives them.
@@ -80,13 +82,14 @@ def unfused_split(a, b, p):
 
 def markov_factors():
     """The Markov seed (a = 2) along 1,2,3,1,2, as markov_path mutates
-    it: its 65-term variable, and its next exchange, the sum
-    x1^2 + x2^2 with its divisor x3 (10 terms)."""
+    it: its 65-term variable, its next exchange, the sum x1^2 + x2^2
+    with its divisor x3 (10 terms), and the 169-term variable of the
+    step after, which the last step of markov_path squares."""
     s = markov_seed(2, QQ)
     for k in (0, 1, 2, 0, 1):
         s = s.mutate(k)
     x1, x2, x3 = s.vars
-    return x2, x1 * x1 + x2 * x2, x3
+    return x2, x1 * x1 + x2 * x2, x3, s.mutate(2).vars[2]
 
 
 def best_of(fn, repeat):
@@ -96,6 +99,17 @@ def best_of(fn, repeat):
         fn()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def alternating(rows, repeat):
+    """best_of for each row, the rows called in turn in every round."""
+    times = {name: [] for name, _ in rows}
+    for _ in range(repeat):
+        for name, fn in rows:
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
+    return [(name, min(times[name])) for name, _ in rows]
 
 
 def micro_rows(repeat):
@@ -112,7 +126,7 @@ def micro_rows(repeat):
     fpow, f = psi_factors("a3", 5)
     fpow_groups = kernels.residue_groups(fpow, 5)
     psi_rows = f"{len(fpow)}x{len(f)}"
-    var, exchange, divisor = markov_factors()
+    var, exchange, divisor, big = markov_factors()
     mono = {(3, -2): 2}
     prod_poly = LaurentPoly(GF(5), 2, prod_gf)
     mono_poly = LaurentPoly(GF(5), 2, mono)
@@ -162,7 +176,15 @@ def micro_rows(repeat):
         (f"div GF(5) {div_rows} by monomial cancellation",
          lambda: prod_poly._divide_by_cancellation(mono_poly)),
     ]
-    return [(name, best_of(work, repeat)) for name, work in rows]
+    squares = [
+        (f"square QQ markov variable {len(big)} terms, mul_terms",
+         lambda: kernels.mul_terms(big.terms, big.terms, 0, 10**6,
+                                   list(PLENTY))),
+        (f"square QQ markov variable {len(big)} terms, square_terms",
+         lambda: kernels.square_terms(big.terms, 0, 10**6, list(PLENTY))),
+    ]
+    return ([(name, best_of(work, repeat)) for name, work in rows]
+            + alternating(squares, repeat))
 
 
 MACRO_SNIPPETS = {
@@ -284,6 +306,22 @@ MACRO_SNIPPETS = {
         "    except BudgetExceededError:\n"
         "        truncated += 1\n"
         "assert (steps, truncated) == (587, 32), (steps, truncated)\n"),
+    "mutate markov3 4th step along 1,2,3,1, default budgets": (
+        "from clusterfrob import corpus\n"
+        "from clusterfrob.fields import QQ\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "s = initial_seed(corpus.load('markov3'), QQ)\n"
+        "for k in (0, 1, 2, 0):\n"
+        "    s = s.mutate(k)\n"
+        "assert len(s.vars[0]) == 13_580\n"),
+    "power a3 presentation f ** 10 over GF(11)": (
+        "from clusterfrob import corpus\n"
+        "from clusterfrob.fields import GF\n"
+        "from clusterfrob.seed import initial_seed\n"
+        "from clusterfrob.lowerbound import lower_bound_generators\n"
+        "pres = lower_bound_generators(initial_seed(corpus.load('a3'), "
+        "GF(11)))\n"
+        "assert len(pres.f ** 10) == 62_436\n"),
     "express markov3 M along 1,2,3": (
         "from clusterfrob.fields import QQ\n"
         "from clusterfrob.seed import express_in_cluster\n"

@@ -9,7 +9,10 @@ Polynomial arithmetic has two budgets.  No polynomial a kernel or a
 division produces (product, quotient or remainder) has more than
 max_terms terms, and no call does more pairwise work than the raw
 allowance.  The kernels alone charge it: a kernel call is charged its
-whole pairwise work before it forms any pair.
+whole pairwise work before it forms any pair.  A power `f ** k` is
+metered as one call: its whole chain of squares and products runs in one
+`raw_meter()`.  A polynomial keeps its latest power, and asking for it
+again forms no pairs and is charged nothing.
 
 The active budgets and the active raw meter live in one ContextVar, so a
 with-block is seen only by the code it encloses: an asyncio task sees its

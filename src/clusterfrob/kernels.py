@@ -21,13 +21,19 @@ shift, `scale_shift_terms`, with no merge.  `LaurentPoly.exact_divide`
 divides by a one-term divisor as the product with its inverse, so it
 takes the same path.
 
+A square, `square_terms`, forms each unordered pair of terms once and
+doubles the products off the diagonal, so it forms n(n+1)/2 pairs for n
+terms where the product a * a forms n^2.  `LaurentPoly.__pow__` squares
+on it.
+
 Only the kernels charge the raw allowance, and each call is charged its
 whole pairwise work once, by `_charge`, before it forms any pair:
-len(a) * len(b) for a product, len(b) for a cancellation step, and the
-pairs in the kept residue class for the fused split.  The charge is
-written to the allowance at once, so a call stopped by max_terms is
-charged the whole work, and a call the allowance cannot cover drains it
-and forms nothing.
+len(a) * len(b) for a product, n(n+1)/2 for a square of n terms (n^2
+below `_PACK_MIN` pairs, where it is the product), len(b) for a
+cancellation step, and the pairs in the kept residue class for the fused
+split.  The charge is written to the allowance at once, so a call
+stopped by max_terms is charged the whole work, and a call the allowance
+cannot cover drains it and forms nothing.
 
 Large products and exact division run on packed keys.  Support extremes
 add under multiplication, so the box of every exponent a call can form is
@@ -205,6 +211,55 @@ def mul_terms(a, b, p, max_terms, raw):
             raise BudgetExceededError(
                 "max_terms", f"product exceeded {max_terms} terms")
     return out
+
+
+def square_terms(a, p, max_terms, raw):
+    """a * a, forming each unordered pair of terms once: a diagonal pair
+    adds c^2 at twice its key, an off-diagonal one 2 * c * c' at the sum
+    of its keys.  Charged n(n+1)/2 raw products for n terms.  Below
+    `_PACK_MIN` pairs, where `mul_terms` keeps its tuple loop, it is
+    `mul_terms(a, a, ...)`, charged n^2.  The output equals that
+    product's; `max_terms` applies as in mul_terms."""
+    n = len(a)
+    if n * n < _PACK_MIN:
+        return mul_terms(a, a, p, max_terms, raw)
+    _charge(raw, n * (n + 1) // 2)
+    lo_a, hi_a = box(a)
+    lo = [x + x for x in lo_a]
+    radix = radices(lo, [x + x for x in hi_a])
+    items = pack_terms(a, lo_a, radix)
+    out = {}
+    get = out.get
+    for i, (ki, ci) in enumerate(items):
+        k = ki + ki
+        old = get(k)
+        v = ci * ci if old is None else old + ci * ci
+        if p:
+            v %= p
+        elif type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
+        if v:
+            out[k] = v
+        elif old is not None:
+            del out[k]
+        c2 = (ci + ci) % p if p else ci + ci
+        if c2:  # over GF(2) every off-diagonal pair vanishes
+            for kj, cj in items[i + 1:]:
+                k = ki + kj
+                old = get(k)
+                v = c2 * cj if old is None else old + c2 * cj
+                if p:
+                    v %= p
+                elif type(v) is Fraction and v.denominator == 1:
+                    v = v.numerator
+                if v:
+                    out[k] = v
+                elif old is not None:
+                    del out[k]
+        if len(out) > max_terms:
+            raise BudgetExceededError(
+                "max_terms", f"product exceeded {max_terms} terms")
+    return dict(zip(unpack(out, lo, radix), out.values()))
 
 
 def _residue(digits, q):

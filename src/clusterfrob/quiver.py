@@ -32,7 +32,7 @@ class Quiver:
     frozen: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError("a quiver needs at least one vertex")
         b = tuple(tuple(row) for row in self.b)
         if len(b) != self.n or any(len(row) != self.n for row in b):

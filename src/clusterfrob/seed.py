@@ -30,7 +30,7 @@ from .errors import (BudgetExceededError, LaurentViolationError,
                      NotLaurentError)
 from .fields import require_same_field
 from .laurent import LaurentPoly, RationalExpr, _times
-from .quiver import Quiver
+from .quiver import Quiver, _is_int
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class Seed:
             if v.is_zero():
                 raise ValueError("cluster variables are nonzero")
         path = tuple(self.path)
-        if not all(isinstance(k, int) and 0 <= k < self.quiver.n
-                   for k in path):
+        if not all(_is_int(k) and 0 <= k < self.quiver.n for k in path):
             raise ValueError("a path entry is not a vertex of the quiver")
         object.__setattr__(self, "path", path)
 

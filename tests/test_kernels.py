@@ -2,6 +2,7 @@
 size."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given
@@ -555,3 +556,52 @@ def test_packing_rule_sides_match_the_tuple_loop(size):
     got = outcome(kernels.mul_terms, a, b, 0, 10**6, 10**6)
     assert got == outcome(tuple_mul_terms, a, b, 0, 10**6, 10**6)
     assert got[0][-1] == ((2**63 - 1,), 3)
+
+
+# -- the square kernel against the product ---------------------------------------
+
+
+@st.composite
+def square_cases(draw):
+    """A factor of up to 16 terms, so that squares fall on both sides of
+    `_PACK_MIN`, over QQ (ints and Fractions) or GF(2), GF(3), GF(5),
+    moved by offsets as large as 2^80 as in packed_cases."""
+    p = draw(st.sampled_from([0, 2, 3, 5]))
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-4, max_value=4)] * nvars)
+    a = draw(st.dictionaries(exps, field_coeffs(p), max_size=16))
+    shift = draw(st.tuples(*[st.sampled_from(WIDE_OFFSETS)] * nvars))
+    return p, {tuple(map(add, e, shift)): c for e, c in a.items()}
+
+
+@example((0, {(i,): Fraction(1, 2) for i in range(6)}))  # 36 pairs
+@example((2, {(i, i % 3): 1 for i in range(9)}))  # Frobenius over GF(2)
+@example((5, {(i,): 1 + i % 4 for i in range(5)}))  # 25 pairs, tuple loop
+@given(square_cases())
+def test_square_matches_the_product(case):
+    # the same terms as mul_terms(a, a), charged n(n+1)/2 pairs, or n^2
+    # below _PACK_MIN where the square is that product
+    p, a = case
+    n = len(a)
+    raw = [PLENTY]
+    got = kernels.square_terms(a, p, 10**6, raw)
+    assert got == kernels.mul_terms(a, a, p, 10**6, fresh())
+    assert got == schoolbook(a, a, p)
+    assert_canonical(got, p)
+    charged = n * n if n * n < kernels._PACK_MIN else n * (n + 1) // 2
+    assert PLENTY - raw[0] == charged
+
+
+def test_square_budgets():
+    a = {(i,): 1 for i in range(40)}  # 1600 pairs, 820 formed
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.square_terms(a, 0, 10**6, [819])
+    assert err.value.budget == "max_raw_products"
+    allowance = [820]
+    kernels.square_terms(a, 0, 10**6, allowance)
+    assert allowance[0] == 0
+    allowance = [PLENTY]
+    with pytest.raises(BudgetExceededError) as err:
+        kernels.square_terms(a, 0, 50, allowance)
+    assert err.value.budget == "max_terms"
+    assert allowance[0] == PLENTY - 820

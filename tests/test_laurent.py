@@ -8,6 +8,7 @@ and the tests pin them.
 
 import heapq
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from clusterfrob import (GF, QQ, BudgetExceededError, FieldMismatchError,
                          LaurentPoly, NotDivisibleError, RationalExpr,
-                         budgets, parse_laurent)
+                         budgets, kernels, parse_laurent)
 
 
 def oracle_mul(a_terms, b_terms, char):
@@ -351,6 +352,104 @@ def test_pow_matches_repeated_mul(a, k):
     for _ in range(k):
         expected = expected * a
     assert a ** k == expected
+
+
+def product_chain(a, k):
+    """a ** k as k - 1 plain products, one for k = 0."""
+    out = LaurentPoly.one(a.field, a.n)
+    for _ in range(k):
+        out = out * a
+    return out
+
+
+def short_polys(field):
+    """Univariate polynomials of up to 7 terms with exponents in [-3, 3],
+    whose 12th powers stay small."""
+    coeffs = (st.fractions(min_value=-9, max_value=9, max_denominator=3)
+              if field.char == 0
+              else st.integers(min_value=0, max_value=field.char - 1))
+    exps = st.tuples(st.integers(min_value=-3, max_value=3))
+    return st.dictionaries(exps, coeffs, max_size=7).map(
+        lambda d: lp(field, 1, list(d.items())))
+
+
+@example(lp(QQ, 2, [((1, 0), 1), ((0, 0), 1)]))  # two terms: binary
+@example(lp(QQ, 2, [((i, i % 3), i - 3) for i in range(7)]))  # the chain
+@example(lp(GF(5), 2, [((i, -i), 1 + i) for i in range(4)]))
+@given(st.one_of(short_polys(QQ), short_polys(GF(3))))
+def test_pow_rule_matches_the_product_chain(a):
+    # both sides of the rule: at most two terms or k <= 4 by binary
+    # squaring, and any other base by one square and k - 2 products
+    chain = LaurentPoly.one(a.field, a.n)
+    for k in range(13):
+        got = a ** k
+        assert got.terms == chain.terms
+        if k == 1:
+            assert got is a
+        chain = chain * a
+
+
+def test_pow_is_one_metered_call():
+    # 2 + x + 3y + x^2 y^-1 + 5 x^3 + y^4: squared once (21 pairs), then
+    # multiplied by the 6-term base, charged len(power) * 6 each time
+    a = lp(QQ, 2, [((0, 0), 2), ((1, 0), 1), ((0, 1), 3), ((2, -1), 1),
+                   ((3, 0), 5), ((0, 4), 1)])
+    k = 7
+    chain = [product_chain(a, j) for j in range(k)]
+    work = 21 + sum(6 * len(chain[j]) for j in range(2, k))
+    with budgets.raw_meter(work) as meter:
+        power = a ** k
+        assert meter[0] == 0
+    assert power == product_chain(a, k)
+    # a meter a pair short stops the chain, though every call fits it
+    b = lp(QQ, 2, list(a.terms.items()))
+    with budgets.raw_meter(work - 1):
+        with pytest.raises(BudgetExceededError) as err:
+            b ** k
+    assert err.value.budget == "max_raw_products"
+    # a square of n terms forms n(n+1)/2 pairs, n^2 below _PACK_MIN
+    for n, charged in ((5, 25), (6, 21), (9, 45)):
+        c = lp(GF(7), 1, [((3 * i,), 1 + i % 6) for i in range(n)])
+        with budgets.raw_meter() as meter:
+            start = meter[0]
+            c ** 2
+            assert start - meter[0] == charged
+
+
+def test_pow_keeps_its_latest_power():
+    v = lp(QQ, 2, [((i, 1 - i), i + 1) for i in range(8)])
+    first = v ** 2
+    with budgets.raw_meter(0) as meter:
+        assert v ** 2 is first
+        assert meter[0] == 0
+    cube = v ** 3
+    assert cube == product_chain(v, 3)
+    with budgets.limits(max_terms=len(cube) - 1):
+        with pytest.raises(BudgetExceededError) as err:
+            v ** 3
+    assert err.value.budget == "max_terms"
+    assert v ** 3 is cube
+
+
+def test_huge_power_outside_a_meter_stops_at_the_allowance(monkeypatch):
+    # the chain shares one allowance, so it stops after 10^5 pairs
+    # where one fresh allowance per product would let it run on
+    charged = []
+    charge = kernels._charge
+
+    def record(raw, work):
+        charge(raw, work)
+        charged.append(work)
+
+    monkeypatch.setattr(kernels, "_charge", record)
+    x1 = LaurentPoly.variable(QQ, 2, 0)
+    t0 = time.perf_counter()
+    with budgets.limits(max_raw_products=10**5):
+        with pytest.raises(BudgetExceededError) as err:
+            (x1 + LaurentPoly.one(QQ, 2)) ** 2**62
+    assert err.value.budget == "max_raw_products"
+    assert sum(charged) <= 10**5
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- derivatives -------------------------------------------------------------

@@ -140,7 +140,7 @@ def construct_entrywise(n, b, frozen):
     """The construction checks one entry at a time, in row order: the
     reference for `Quiver.__post_init__`, which `Quiver.mutate` skips.
     Returns the stored (b, frozen), or raises what construction raises."""
-    if n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("a quiver needs at least one vertex")
     b = tuple(tuple(row) for row in b)
     if len(b) != n or any(len(row) != n for row in b):
@@ -318,6 +318,8 @@ def test_construction_refuses_booleans():
         Quiver(2, ((0, True), (-1, 0)))
     with pytest.raises(ValueError, match="out-of-range vertex"):
         Quiver(2, ((0, 1), (-1, 0)), frozenset({True}))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Quiver(True, ((0,),))
 
 
 def test_format_error_reports_position():

@@ -120,7 +120,8 @@ def test_seed_stores_its_path_as_a_tuple_of_vertices():
     s = Seed(q, vars_, [0])
     assert s.path == (0,)
     assert s.mutate(1).path == (0, 1)
-    for bad in ([3], [-1], [0.0], ["0"], [0, None]):
+    # True equals 1, but it names no vertex
+    for bad in ([3], [-1], [0.0], ["0"], [0, None], [True], [0, False]):
         with pytest.raises(ValueError, match="not a vertex"):
             Seed(q, vars_, bad)
 
