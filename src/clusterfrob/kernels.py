@@ -23,8 +23,9 @@ takes the same path.
 
 A square, `square_terms`, forms each unordered pair of terms once and
 doubles the products off the diagonal, so it forms n(n+1)/2 pairs for n
-terms where the product a * a forms n^2.  `LaurentPoly.__pow__` squares
-on it.
+terms where `mul_terms(a, a, ...)` forms n^2.  `LaurentPoly.__mul__` runs
+it when a polynomial is multiplied by itself, so each square of
+`LaurentPoly.__pow__` runs on it too.
 
 Only the kernels charge the raw allowance, and each call is charged its
 whole pairwise work once, by `_charge`, before it forms any pair:

@@ -199,9 +199,13 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._compat(other)
-        terms = kernels.mul_terms(self.terms, other.terms, self.field.char,
-                                  budgets.current().max_terms,
-                                  budgets.raw_allowance())
+        p, limit = self.field.char, budgets.current().max_terms
+        if other is self:
+            terms = kernels.square_terms(self.terms, p, limit,
+                                         budgets.raw_allowance())
+        else:
+            terms = kernels.mul_terms(self.terms, other.terms, p, limit,
+                                      budgets.raw_allowance())
         return LaurentPoly(self.field, self.n, terms)
 
     def mul_split(self, other: "LaurentPoly", q: int, r: int) -> "LaurentPoly":
@@ -234,28 +238,42 @@ class LaurentPoly:
                            {tuple(-x for x in e): self.field.invert(c)})
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        """self ** k by one stated rule, on the square kernel.
+        """self ** k by one stated rule.
 
-        k = 0 gives one and k = 1 gives self.  A base of at most two
-        terms, or any base for k <= 4, is powered by binary squaring,
-        reading the bits of k from the top: square, and multiply by the
-        base at each set bit.  Any other base is squared once and then
-        multiplied by the base k - 2 times.  A multiplication by the
-        sparse base costs len(base) pairs per term of the power, while a
-        square of the power costs about half its length squared
-        (Fateman, Stud. Appl. Math. 53, 1974).  The base powered most in
-        this package is a Markov variable: at the 4th markov3 step along
-        1,2,3,1, x2' (5 terms) to the 87th and x3' (72 terms) to the
-        15th.  That step forms 6,158,747 pairs by this rule, 10,288,762
-        by binary squaring alone and 21,787,253 by binary squaring on
-        the product kernel.  The plain product chain alone leaves 57 of
-        criterion 1's 200 markov4 paths truncated, and this rule 40.
+        k = 0 gives one and k = 1 gives self.  Otherwise self is squared,
+        as every square is, on the square kernel (`__mul__` of a
+        polynomial by itself).  A base of n > 2 terms is then, for k > 4,
+        multiplied by the base k - 2 times: a product by the sparse base
+        costs n pairs per term of the power, while a square of the power
+        costs about half its length squared (Fateman, Stud. Appl. Math.
+        53, 1974).  Any other power goes on by binary squaring, reading
+        the bits of k from the top: square, and multiply by the base at
+        each set bit.  So does a chain that cannot fit the allowance left
+        after the square.  Where no terms cancel, a product by the base
+        has at least n - 1 terms more than its other factor (a sumset in
+        Z^n, ordered lexicographically), so the chain forms at least
+        n (k - 2) (len(square) + (n - 1)(k - 3) / 2) pairs; binary
+        squaring then refuses its one large square, where the doomed
+        chain would first form many small products.
 
-        The whole chain draws on one `budgets.raw_meter()`, so outside
-        a meter a power is one call of max_raw_products, and inside one
-        it draws on the enclosing meter.  The result is kept on self as
-        its latest power: asking again for that k forms no pairs and is
-        charged nothing, but max_terms still applies to it."""
+        The base powered most in this package is a Markov variable: at
+        the 4th markov3 step along 1,2,3,1, x2' (5 terms) to the 87th
+        and x3' (72 terms) to the 15th.  That step forms 6,158,747 pairs
+        by this rule, 10,288,762 by binary squaring alone and 21,787,253
+        by binary squaring on the product kernel.  The plain product
+        chain alone leaves 57 of criterion 1's 200 markov4 paths
+        truncated, and this rule 40.
+
+        The whole power draws on one `budgets.raw_meter()`, so outside a
+        meter it is one call of max_raw_products, and inside one it
+        draws on the enclosing meter.  The result is kept on self as its
+        latest power: asking again for that k forms no pairs and is
+        charged nothing, but max_terms still applies to it.  Mutating
+        back along an edge powers the same variables as the way out, so
+        on `markov_path` 20 of a pass's 28 powers are kept ones, and a
+        pass forms 43,044 pairs where it would form 65,048 without them.
+        A kept power lives as long as its base: explore of the markov
+        seed to depth 4 peaks at 77 MiB, 56 MiB without kept powers."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
@@ -272,26 +290,23 @@ class LaurentPoly:
                 raise BudgetExceededError(
                     "max_terms", f"power exceeded {limit} terms")
             return result
-        with budgets.raw_meter():
-            if len(self.terms) <= 2 or k <= 4:
-                result = self
-                for bit in bin(k)[3:]:
-                    result = result._square()
-                    if bit == "1":
-                        result = result * self
-            else:
-                result = self._square()
+        n = len(self.terms)
+        with budgets.raw_meter() as allowance:
+            result = self * self
+            # the chain's pairs where no terms cancel: then each power of
+            # the chain has n - 1 terms more than the one before, or more
+            chain = n * (k - 2) * (2 * len(result) + (n - 1) * (k - 3)) // 2
+            if n > 2 and k > 4 and chain <= allowance[0]:
                 for _ in range(k - 2):
                     result = result * self
+            else:
+                for i, bit in enumerate(bin(k)[3:]):
+                    if i:
+                        result = result * result
+                    if bit == "1":
+                        result = result * self
         self._power = k, result
         return result
-
-    def _square(self) -> "LaurentPoly":
-        """self * self on the square kernel, under the product budgets."""
-        terms = kernels.square_terms(self.terms, self.field.char,
-                                     budgets.current().max_terms,
-                                     budgets.raw_allowance())
-        return LaurentPoly(self.field, self.n, terms)
 
     # -- exact division -----------------------------------------------------
 

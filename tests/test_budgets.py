@@ -11,8 +11,10 @@ import pytest
 from clusterfrob import QQ, BudgetExceededError, LaurentPoly, budgets
 from clusterfrob.budgets import Budgets
 
-# a 10-term polynomial: each product of two of them costs 100 raw products
+# two equal 10-term polynomials: their product costs 100 raw products.
+# They are distinct objects, for TEN * TEN is a square, which costs 55.
 TEN = LaurentPoly.from_terms(QQ, 1, {(i,): 1 for i in range(10)})
+TEN2 = LaurentPoly.from_terms(QQ, 1, {(i,): 1 for i in range(10)})
 
 
 def test_limits_invisible_to_sibling_task():
@@ -101,7 +103,7 @@ def test_nested_meter_is_capped_and_drains_outer():
     with budgets.raw_meter(150) as outer:
         with budgets.raw_meter(10**6) as inner:
             assert inner[0] == 150
-            TEN * TEN
+            TEN * TEN2
             assert inner[0] == 50
         assert outer[0] == 50
         with budgets.raw_meter(20) as inner:
@@ -113,13 +115,13 @@ def test_nested_meter_drains_outer_when_block_raises():
     with budgets.raw_meter(250) as outer:
         with pytest.raises(ValueError):
             with budgets.raw_meter():
-                TEN * TEN
+                TEN * TEN2
                 raise ValueError("not a budget error")
         assert outer[0] == 150
         with pytest.raises(BudgetExceededError) as err:
             with budgets.raw_meter(10**6):
-                TEN * TEN
-                TEN * TEN
+                TEN * TEN2
+                TEN * TEN2
         assert err.value.budget == "max_raw_products"
         assert outer[0] == 0
     assert budgets.raw_allowance() == [Budgets().max_raw_products]
@@ -129,5 +131,5 @@ def test_limits_keep_the_active_meter():
     with budgets.raw_meter(150) as outer:
         with budgets.limits(max_terms=50):
             assert budgets.raw_allowance() is outer
-            TEN * TEN
+            TEN * TEN2
     assert outer[0] == 50

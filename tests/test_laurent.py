@@ -407,13 +407,68 @@ def test_pow_is_one_metered_call():
         with pytest.raises(BudgetExceededError) as err:
             b ** k
     assert err.value.budget == "max_raw_products"
-    # a square of n terms forms n(n+1)/2 pairs, n^2 below _PACK_MIN
+    # a square of n terms forms n(n+1)/2 pairs, n^2 below _PACK_MIN,
+    # whether asked for as c ** 2 or as c * c; c times an equal copy
+    # is a product, n^2 pairs
     for n, charged in ((5, 25), (6, 21), (9, 45)):
         c = lp(GF(7), 1, [((3 * i,), 1 + i % 6) for i in range(n)])
-        with budgets.raw_meter() as meter:
-            start = meter[0]
-            c ** 2
-            assert start - meter[0] == charged
+        copy = lp(GF(7), 1, list(c.terms.items()))
+        for square, work in ((lambda: c ** 2, charged),
+                             (lambda: c * c, charged),
+                             (lambda: c * copy, n * n)):
+            with budgets.raw_meter() as meter:
+                start = meter[0]
+                got = square()
+                assert start - meter[0] == work
+            assert got == product_chain(copy, 2)
+
+
+def charges(monkeypatch):
+    """The work of every kernel call that fits its allowance, in order."""
+    charged = []
+    charge = kernels._charge
+
+    def record(raw, work):
+        charge(raw, work)
+        charged.append(work)
+
+    monkeypatch.setattr(kernels, "_charge", record)
+    return charged
+
+
+def test_a_chain_past_the_allowance_goes_on_by_squaring(monkeypatch):
+    charged = charges(monkeypatch)
+    # 1 + x + ... + x^5 to the 12th: the chain forms 21 + 66 + 96 + ...
+    # + 336 = 2031 pairs, and binary squaring 21, 66, 136 and 496
+    a = lp(QQ, 1, [((i,), 1) for i in range(6)])
+    with budgets.raw_meter(2031):
+        power = a ** 12
+    assert charged == [21] + [6 * (5 * j + 1) for j in range(2, 12)]
+    assert power == product_chain(a, 12)
+    # each power of the chain has 5 terms more than the one before, so
+    # under 1000 pairs the chain cannot fit, and binary squaring does
+    charged.clear()
+    b = lp(QQ, 1, [((i,), 1) for i in range(6)])
+    with budgets.raw_meter(1000):
+        assert b ** 12 == power
+    assert charged == [21, 66, 136, 496]
+    # under 600 pairs neither fits: the chain would form 465 pairs
+    # first, and binary squaring refuses its 496-pair square
+    charged.clear()
+    b = lp(QQ, 1, [((i,), 1) for i in range(6)])
+    with budgets.raw_meter(600):
+        with pytest.raises(BudgetExceededError) as err:
+            b ** 12
+    assert err.value.budget == "max_raw_products"
+    assert charged == [21, 66, 136]
+    # over GF(2) the terms cancel, so binary squaring may fit where the
+    # chain would not: (1 + x + y)^8 = 1 + x^8 + y^8 in 27 pairs, where
+    # the chain forms 9 + 9 + 27 and then more
+    charged.clear()
+    f = lp(GF(2), 2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)])
+    with budgets.raw_meter(40):
+        assert (f ** 8).terms == {(0, 0): 1, (8, 0): 1, (0, 8): 1}
+    assert charged == [9, 9, 9]
 
 
 def test_pow_keeps_its_latest_power():
@@ -434,14 +489,7 @@ def test_pow_keeps_its_latest_power():
 def test_huge_power_outside_a_meter_stops_at_the_allowance(monkeypatch):
     # the chain shares one allowance, so it stops after 10^5 pairs
     # where one fresh allowance per product would let it run on
-    charged = []
-    charge = kernels._charge
-
-    def record(raw, work):
-        charge(raw, work)
-        charged.append(work)
-
-    monkeypatch.setattr(kernels, "_charge", record)
+    charged = charges(monkeypatch)
     x1 = LaurentPoly.variable(QQ, 2, 0)
     t0 = time.perf_counter()
     with budgets.limits(max_raw_products=10**5):
